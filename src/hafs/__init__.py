@@ -21,7 +21,7 @@ from .extensions import (ElementSet, SetFlags, classify_set, dfd, dft, directly_
 from .framework import (HAFS, ElementId, Kind, Relation, SupportChain, argument,
                         attack_id, generate_random, is_support_acyclic, parse,
                         serialize, support_id)
-from .labellings import (HALF, ONE, ZERO, Labelling3, core, enumerate_adjacent_complete,
+from .labellings import (HALF, ONE, ZERO, Labelling3, enumerate_adjacent_complete,
                          is_adjacent_complete, select_labellings)
 from .logic import (BUILTIN_LOGICS, GODEL, L3, LUKASIEWICZ, PRODUCT, And, Assignment,
                     Bottom, Formula, Iff, Implies, LogicSystem, Not, Or, Top, Var,

@@ -21,8 +21,8 @@ from .equations import (EquationSystem, build_equations, enumerate_ternary_solut
 from .errors import PreconditionError, SizeBoundError, ValidationError
 from .extensions import enumerate_extensions, extension_derived_labelling
 from .framework import HAFS, is_support_acyclic, serialize
-from .labellings import HALF, ONE, ZERO, Labelling3, enumerate_adjacent_complete, \
-    is_adjacent_complete
+from .labellings import CHUNK_ROWS, HALF, ONE, THREE_VALUES, ZERO, Labelling3, \
+    enumerate_adjacent_complete, grid_codes, is_adjacent_complete
 from .limits import DEFAULT_LABELLING_BOUND, universe_bound
 from .logic import And, Assignment, Bottom, Formula, GODEL, Iff, Implies, LogicSystem, \
     LUKASIEWICZ, Not, Or, PRODUCT, Top, Var, _impl_godel, _impl_lukasiewicz, \
@@ -33,6 +33,7 @@ FLOAT_TERNARIZE_TOL = 1e-6
 FLOAT_RESIDUAL_TOL = 1e-12
 
 THEOREM_IDS = ("T1", "T2", "T_PL3", "EQ_G", "EQ_P", "EQ_L", "T16", "IDEM", "CORR_G")
+_EQ_LOGICS = {"EQ_G": GODEL, "EQ_P": PRODUCT, "EQ_L": LUKASIEWICZ}
 
 
 # -- ternarization -----------------------------------------------------------
@@ -72,9 +73,6 @@ def embed(labelling: Labelling3) -> Assignment:
 
 _IMP3 = np.array([[2, 2, 2], [1, 2, 2], [0, 1, 2]], dtype=np.int8)
 _IFF3 = np.array([[2, 1, 0], [1, 2, 1], [0, 1, 2]], dtype=np.int8)
-
-_CHUNK_ROWS = 3 ** 12
-_CODE_TO_VALUE = {0: ZERO, 1: HALF, 2: ONE}
 
 
 def _eval_grid3(f: Formula, columns, rows: int) -> np.ndarray:
@@ -118,20 +116,15 @@ def enumerate_pl3_models(h: HAFS, bound: int | None = None) -> tuple[Labelling3,
         raise SizeBoundError(f"universe has {n} elements, bound is {limit}")
 
     formula = encode_normal(h)
-    weights = [3 ** (n - 1 - j) for j in range(n)]
     total = 3 ** n
     models: list[Labelling3] = []
-    for start in range(0, total, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, total)
-        rows = np.arange(start, stop, dtype=np.int64)
-        columns = {
-            e: ((rows // weights[j]) % 3).astype(np.int8) for j, e in enumerate(order)
-        }
+    for start in range(0, total, CHUNK_ROWS):
+        stop = min(start + CHUNK_ROWS, total)
+        codes = grid_codes(n, 3, start, stop)
+        columns = {e: codes[:, j] for j, e in enumerate(order)}
         value = _eval_grid3(formula, columns, stop - start)
-        for row in np.nonzero(value == 2)[0]:
-            models.append(Labelling3(
-                {e: _CODE_TO_VALUE[int(columns[e][row])] for e in order}
-            ))
+        for row in codes[value == 2].tolist():
+            models.append(Labelling3(zip(order, [THREE_VALUES[k] for k in row])))
     return tuple(models)
 
 
@@ -313,13 +306,6 @@ def _fold_q(tnorm, terms, one):
     return (one, one) if acc is None else acc
 
 
-def _exhaustive_codes(n: int, start: int, stop: int) -> np.ndarray:
-    """Quarter codes of grid rows ``start..stop``, first element most significant."""
-    rows = np.arange(start, stop, dtype=np.int64)
-    weights = 5 ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return (rows[:, None] // weights) % 5
-
-
 def _quarter_columns(order, codes: np.ndarray, dtype) -> dict:
     num, den = _QUARTER_NUM.astype(dtype), _QUARTER_DEN.astype(dtype)
     return {e: (num[codes[:, j]], den[codes[:, j]]) for j, e in enumerate(order)}
@@ -392,7 +378,7 @@ def _check_equation_equivalence(theorem_id: str, h: HAFS, logic: LogicSystem,
     for start in range(0, rows, _EQ_CHUNK_ROWS):
         stop = min(start + _EQ_CHUNK_ROWS, rows)
         if exhaustive:
-            codes = _exhaustive_codes(n, start, stop)
+            codes = grid_codes(n, 5, start, stop)
         else:  # point-major draws; the float samples continue from this rng state
             codes = np.array([rng.randrange(5) for _ in range((stop - start) * n)],
                              dtype=np.int64).reshape(stop - start, n)
@@ -520,12 +506,8 @@ def verify(h: HAFS, theorem_id: str, logic: LogicSystem | str | None = None,
         return _check_families_coincide(h, bound)
     if theorem_id == "T_PL3":
         return _check_pl3_models(h, bound)
-    if theorem_id == "EQ_G":
-        return _check_equation_equivalence("EQ_G", h, GODEL, grid_cap, float_samples, seed)
-    if theorem_id == "EQ_P":
-        return _check_equation_equivalence("EQ_P", h, PRODUCT, grid_cap, float_samples, seed)
-    if theorem_id == "EQ_L":
-        return _check_equation_equivalence("EQ_L", h, LUKASIEWICZ, grid_cap,
+    if theorem_id in _EQ_LOGICS:
+        return _check_equation_equivalence(theorem_id, h, _EQ_LOGICS[theorem_id], grid_cap,
                                            float_samples, seed)
     if theorem_id == "T16":
         return _check_ternarized_solutions(h, logic or GODEL, seed, bound)

@@ -10,20 +10,23 @@ precondition, no converged solve), 2 usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
 
 from . import bridge, equations, extensions, framework, labellings, logic
 from .errors import (EvaluationError, HafsError, InfeasibleParametersError,
-                     ParseError, PreconditionError, SizeBoundError, ValidationError)
-
-_USAGE_ERRORS = (ParseError, ValidationError, InfeasibleParametersError, EvaluationError)
-_DOMAIN_ERRORS = (SizeBoundError, PreconditionError)
+                     ParseError, ValidationError)
 
 
 class _UsageError(Exception):
     pass
+
+
+# exit 2; every other HafsError is a domain failure, exit 1
+_USAGE_ERRORS = (_UsageError, ParseError, ValidationError, InfeasibleParametersError,
+                 EvaluationError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -31,7 +34,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process; parsing does not change it."""
     parser = _Parser(prog="hafs", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -259,9 +264,8 @@ def run(argv: list[str], stdin=None, stdout=None, stderr=None) -> int:
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
     try:
-        opts = parser.parse_args(argv)
+        opts = _build_parser().parse_args(argv)
     except _UsageError as exc:
         stderr.write(f"hafs: error: {exc}\n")
         return 2
@@ -269,15 +273,9 @@ def run(argv: list[str], stdin=None, stdout=None, stderr=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[opts.verb](opts, stdin, stdout)
-    except _UsageError as exc:
-        stderr.write(f"hafs: error: {exc}\n")
-        return 2
     except _USAGE_ERRORS as exc:
         stderr.write(f"hafs: error: {exc}\n")
         return 2
-    except _DOMAIN_ERRORS as exc:
-        stderr.write(f"hafs: error: {exc}\n")
-        return 1
     except HafsError as exc:
         stderr.write(f"hafs: error: {exc}\n")
         return 1

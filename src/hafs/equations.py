@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import PreconditionError, SizeBoundError, ValidationError
-from .framework import HAFS, ElementId
-from .labellings import HALF, ONE, ZERO
+from .framework import HAFS, ElementId, Incidence
+from .labellings import ONE, THREE_VALUES
 from .limits import DEFAULT_TERNARY_BOUND, universe_bound
 from .logic import (Assignment, LogicSystem, _standard_negation, _tnorm_lukasiewicz,
                     _tnorm_min, _tnorm_product)
@@ -108,19 +108,20 @@ def residual(system: EquationSystem, values: Mapping) -> object:
 # -- fixed-point search -------------------------------------------------------
 
 
-def _compile_apply(logic: LogicSystem, compiled, n: int):
-    """Whole-system update function x -> F(x) over index vectors.
+def _compile_apply(logic: LogicSystem, view: Incidence):
+    """Whole-system update function x -> F(x) over position vectors.
 
     The built-in operator combinations get hand-inlined loops (identical
     formulas and operation order, so identical floats); anything else
-    falls back to the generic fold.
+    folds through :func:`h_function`.
     """
+    incoming = view.incoming
     std = logic.negation is _standard_negation
 
     if std and logic.tnorm is _tnorm_min:
         def apply_min(x):
-            out = [0.0] * n
-            for i, att, supp in compiled:
+            out = []
+            for att, supp in incoming:
                 acc = 1.0
                 for ib, ir in att:
                     low = x[ib] if x[ib] < x[ir] else x[ir]
@@ -133,27 +134,27 @@ def _compile_apply(logic: LogicSystem, compiled, n: int):
                     v = 1.0 - low
                     if v < acc:
                         acc = v
-                out[i] = acc
+                out.append(acc)
             return out
         return apply_min
 
     if std and logic.tnorm is _tnorm_product:
         def apply_product(x):
-            out = [0.0] * n
-            for i, att, supp in compiled:
+            out = []
+            for att, supp in incoming:
                 acc = 1.0
                 for ib, ir in att:
                     acc = acc * (1.0 - x[ib] * x[ir])
                 for ic, it in supp:
                     acc = acc * (1.0 - (1.0 - x[ic]) * x[it])
-                out[i] = acc
+                out.append(acc)
             return out
         return apply_product
 
     if std and logic.tnorm is _tnorm_lukasiewicz:
         def apply_luk(x):
-            out = [0.0] * n
-            for i, att, supp in compiled:
+            out = []
+            for att, supp in incoming:
                 acc = 1.0
                 for ib, ir in att:
                     z = x[ib] + x[ir] - 1.0
@@ -165,22 +166,14 @@ def _compile_apply(logic: LogicSystem, compiled, n: int):
                     v = 1.0 - (z if z > 0.0 else 0.0)
                     z = acc + v - 1.0
                     acc = z if z > 0.0 else 0.0
-                out[i] = acc
+                out.append(acc)
             return out
         return apply_luk
 
-    neg, tnorm = logic.negation, logic.tnorm
-
     def apply_generic(x):
-        out = [0.0] * n
-        for i, att, supp in compiled:
-            acc = 1.0
-            for ib, ir in att:
-                acc = tnorm(acc, neg(tnorm(x[ib], x[ir])))
-            for ic, it in supp:
-                acc = tnorm(acc, neg(tnorm(neg(x[ic]), x[it])))
-            out[i] = acc
-        return out
+        return [h_function(logic, [(x[b], x[r]) for b, r in att],
+                           [(x[c], x[t]) for c, t in supp])
+                for att, supp in incoming]
     return apply_generic
 
 
@@ -227,13 +220,7 @@ def solve_fixed_point(system: EquationSystem, damping: float = 0.5,
     starts: list[list[float]] = [[0.0] * n, [1.0] * n, [0.5] * n]
     starts += [[rng.random() for _ in range(n)] for _ in range(restarts)]
 
-    index = {e: i for i, e in enumerate(order)}
-    compiled = []
-    for eq in system.equations:
-        att = [(index[b], index[r]) for b, r in eq.attacker_pairs]
-        supp = [(index[c], index[t]) for c, t in eq.supporter_pairs]
-        compiled.append((index[eq.element], att, supp))
-    apply = _compile_apply(system.logic, compiled, n)
+    apply = _compile_apply(system.logic, system.framework.incidence)
 
     reports: list[SolveReport] = []
     kept: list[list[float]] = []
@@ -289,13 +276,10 @@ def enumerate_ternary_solutions(system: EquationSystem,
     if n > limit:
         raise SizeBoundError(f"universe has {n} elements, bound is {limit}")
 
-    h = system.framework
-    free = [e for e in order if h.attackers_of(e) or h.supporters_of(e)]
-    base = {e: ONE for e in order if not (h.attackers_of(e) or h.supporters_of(e))}
-
+    free = [order[i] for i in system.framework.incidence.free]
     found = []
-    for combo in itertools.product((ZERO, HALF, ONE), repeat=len(free)):
-        values = dict(base)
+    for combo in itertools.product(THREE_VALUES, repeat=len(free)):
+        values = dict.fromkeys(order, ONE)
         values.update(zip(free, combo))
         if system.is_exact_solution(values):
             found.append(Assignment(values))

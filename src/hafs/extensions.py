@@ -10,11 +10,12 @@ those two notions.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Literal
 
 from .errors import PreconditionError, SizeBoundError, ValidationError
-from .framework import HAFS, ElementId
+from .framework import HAFS, ElementId, Incidence
 from .labellings import HALF, ONE, ZERO, Labelling3
 from .limits import DEFAULT_EXTENSION_BOUND, universe_bound
 
@@ -31,13 +32,15 @@ def _check_members(h: HAFS, B: Iterable[ElementId]) -> ElementSet:
     return members
 
 
+def _attacked_by(h: HAFS, b: ElementId, x: ElementId, members: ElementSet) -> bool:
+    return any(src == b and rel in members for src, rel in h.attackers_of(x))
+
+
 def directly_defeats(h: HAFS, b: ElementId, a: ElementId, B: Iterable[ElementId]) -> bool:
     """True iff ``b`` and an attack from ``b`` to ``a`` are both in ``B``."""
     members = _check_members(h, B)
     _check_members(h, (a, b))
-    if b not in members:
-        return False
-    return any(src == b and rel in members for src, rel in h.attackers_of(a))
+    return b in members and _attacked_by(h, b, a, members)
 
 
 def indirectly_defeats(h: HAFS, b: ElementId, a: ElementId, B: Iterable[ElementId]) -> bool:
@@ -45,97 +48,98 @@ def indirectly_defeats(h: HAFS, b: ElementId, a: ElementId, B: Iterable[ElementI
     element attacked by ``b`` (attack also in ``B``) down to ``a``.
 
     Searches backwards from ``a`` over supports whose relation object is
-    in ``B``, keeping the current path free of repeats so every witness
-    is an acyclic chain.
+    in ``B``.  Any support walk from some c != a to ``a`` contains an
+    acyclic chain from c to ``a``, so reaching an element attacked by
+    ``b`` is enough.
     """
     members = _check_members(h, B)
     _check_members(h, (a, b))
     if b not in members:
         return False
-
-    def search(current: ElementId, path: frozenset[ElementId]) -> bool:
-        for c, t in h.supporters_of(current):
-            if t not in members or c in path:
-                continue
-            # c heads an acyclic chain c -> ... -> a inside B
-            if any(src == b and rel in members for src, rel in h.attackers_of(c)):
-                return True
-            if search(c, path | {c}):
-                return True
-        return False
-
-    return search(a, frozenset((a,)))
+    seen, stack = {a}, [a]
+    while stack:
+        for c, t in h.supporters_of(stack.pop()):
+            if t in members and c not in seen:
+                if _attacked_by(h, b, c, members):
+                    return True
+                seen.add(c)
+                stack.append(c)
+    return False
 
 
 def defeats(h: HAFS, b: ElementId, a: ElementId, B: Iterable[ElementId]) -> bool:
     return directly_defeats(h, b, a, B) or indirectly_defeats(h, b, a, B)
 
 
+# The set-level notions run on positions of the framework's incidence view.
+
+def _defeated(view: Incidence, inset: set[int]) -> set[int]:
+    queue = [a for a, (att, _) in enumerate(view.incoming)
+             if any(b in inset and r in inset for b, r in att)]
+    defeated = set(queue)
+    while queue:
+        for target, support in view.outgoing_supports[queue.pop()]:
+            if support in inset and target not in defeated:
+                defeated.add(target)
+                queue.append(target)
+    return defeated
+
+
+def _defended(view: Incidence, inset: set[int], defeated: set[int]) -> set[int]:
+    return {a for a, (att, supp) in enumerate(view.incoming)
+            if all(b in defeated or r in defeated for b, r in att)
+            and all(c in inset or t in defeated for c, t in supp)}
+
+
+def _positions(h: HAFS, B: Iterable[ElementId]) -> set[int]:
+    position = h.incidence.position
+    return {position[x] for x in _check_members(h, B)}
+
+
+def _elements(h: HAFS, positions: Iterable[int]) -> ElementSet:
+    return frozenset(h.universe[i] for i in positions)
+
+
 def dft(h: HAFS, B: Iterable[ElementId]) -> ElementSet:
     """Everything defeated by ``B``: direct victims, then propagation of
     a defeated supporter through each in-set support to its target."""
-    members = _check_members(h, B)
-    defeated: set[ElementId] = set()
-    queue: list[ElementId] = []
-    for rel in h.attacks:
-        if rel.id in members and rel.source in members and rel.target not in defeated:
-            defeated.add(rel.target)
-            queue.append(rel.target)
-    forward: dict[ElementId, list[tuple[ElementId, ElementId]]] = {}
-    for rel in h.supports:
-        forward.setdefault(rel.source, []).append((rel.target, rel.id))
-    while queue:
-        x = queue.pop()
-        for target, tid in forward.get(x, ()):
-            if tid in members and target not in defeated:
-                defeated.add(target)
-                queue.append(target)
-    return frozenset(defeated)
+    inset = _positions(h, B)
+    return _elements(h, _defeated(h.incidence, inset))
 
 
 def dfd(h: HAFS, B: Iterable[ElementId]) -> ElementSet:
     """Everything defended by ``B``: every incoming attack is countered
     (attacker or attack defeated) and every incoming support is honoured
     (supporter in ``B`` or the support defeated)."""
-    members = _check_members(h, B)
-    defeated = dft(h, members)
-    defended = set()
-    for a in h.universe:
-        if all(b in defeated or r in defeated for b, r in h.attackers_of(a)) and \
-           all(c in members or t in defeated for c, t in h.supporters_of(a)):
-            defended.add(a)
-    return frozenset(defended)
+    inset = _positions(h, B)
+    view = h.incidence
+    return _elements(h, _defended(view, inset, _defeated(view, inset)))
 
 
+@dataclass(eq=False, slots=True)
 class SetFlags:
     """Classification of a candidate set."""
 
-    __slots__ = ("conflict_free", "admissible", "complete", "stable_eligible")
+    conflict_free: bool
+    admissible: bool
+    complete: bool
+    stable_eligible: bool
 
-    def __init__(self, conflict_free: bool, admissible: bool,
-                 complete: bool, stable_eligible: bool):
-        self.conflict_free = conflict_free
-        self.admissible = admissible
-        self.complete = complete
-        self.stable_eligible = stable_eligible
 
-    def __repr__(self) -> str:
-        return (f"SetFlags(conflict_free={self.conflict_free}, "
-                f"admissible={self.admissible}, complete={self.complete}, "
-                f"stable_eligible={self.stable_eligible})")
+def _flags(h: HAFS, inset: set[int], defeated: set[int]) -> SetFlags:
+    conflict_free = inset.isdisjoint(defeated)
+    defended = _defended(h.incidence, inset, defeated)
+    return SetFlags(
+        conflict_free=conflict_free,
+        admissible=conflict_free and inset <= defended,
+        complete=conflict_free and inset == defended,
+        stable_eligible=len(inset | defeated) == len(h),
+    )
 
 
 def classify_set(h: HAFS, E: Iterable[ElementId]) -> SetFlags:
-    members = _check_members(h, E)
-    defeated = dft(h, members)
-    defended = dfd(h, members)
-    conflict_free = members.isdisjoint(defeated)
-    return SetFlags(
-        conflict_free=conflict_free,
-        admissible=conflict_free and members <= defended,
-        complete=conflict_free and members == defended,
-        stable_eligible=(members | defeated) == set(h.universe),
-    )
+    inset = _positions(h, E)
+    return _flags(h, inset, _defeated(h.incidence, inset))
 
 
 def enumerate_extensions(h: HAFS, semantics: ExtensionSemantics,
@@ -151,15 +155,14 @@ def enumerate_extensions(h: HAFS, semantics: ExtensionSemantics,
     if n > limit:
         raise SizeBoundError(f"universe has {n} elements, bound is {limit}")
 
+    view = h.incidence
     complete: list[ElementSet] = []
     for size in range(n + 1):
-        for combo in combinations(h.universe, size):
-            members = frozenset(combo)
-            defeated = dft(h, members)
-            if not members.isdisjoint(defeated):
-                continue
-            if members == dfd(h, members):
-                complete.append(members)
+        for combo in combinations(range(n), size):
+            inset = set(combo)
+            defeated = _defeated(view, inset)
+            if inset.isdisjoint(defeated) and inset == _defended(view, inset, defeated):
+                complete.append(_elements(h, combo))
 
     if semantics == "complete":
         return tuple(complete)
@@ -182,14 +185,14 @@ def enumerate_extensions(h: HAFS, semantics: ExtensionSemantics,
 def extension_derived_labelling(h: HAFS, E: Iterable[ElementId]) -> Labelling3:
     """Labelling read off a complete extension: members 1, defeated 0,
     everything else 1/2."""
-    members = _check_members(h, E)
-    if not classify_set(h, members).complete:
+    inset = _positions(h, E)
+    defeated = _defeated(h.incidence, inset)
+    if not _flags(h, inset, defeated).complete:
         raise PreconditionError("the given set is not a complete extension")
-    defeated = dft(h, members)
-    return Labelling3({
-        x: ONE if x in members else ZERO if x in defeated else HALF
-        for x in h.universe
-    })
+    return Labelling3(
+        (x, ONE if i in inset else ZERO if i in defeated else HALF)
+        for i, x in enumerate(h.universe)
+    )
 
 
 def extensions_to_json_obj(extensions: Iterable[ElementSet]) -> dict:

@@ -15,6 +15,12 @@ between tokens)::
 
 ``att``/``supp`` arguments are ``(id, source, target)``.  References may
 point forward; they are resolved once the whole text has been read.
+
+Every semantics reads the same structure: each element's incoming attacks
+(attacker, attack) and supports (supporter, support).  ``HAFS.incidence``
+holds it once per framework as integer positions into ``universe``, built
+on first use, and the labelling sweep, the extension scan, the fixed-point
+solver and the support-cycle check all read that one view.
 """
 
 from __future__ import annotations
@@ -153,7 +159,7 @@ class HAFS:
     """
 
     __slots__ = ("arguments", "attacks", "supports", "universe",
-                 "_by_id", "_attackers", "_supporters", "_pairs")
+                 "_by_id", "_attackers", "_supporters", "_incidence")
 
     def __init__(self, arguments: Iterable[ElementId],
                  attacks: Iterable[Relation],
@@ -197,7 +203,6 @@ class HAFS:
                     f"duplicate {rel.kind.value} with source {rel.source} and target {rel.target}"
                 )
             pairs.add(key)
-        self._pairs = pairs
 
         self._check_well_founded()
 
@@ -210,37 +215,17 @@ class HAFS:
         # incoming lists sorted by relation id for deterministic traversal
         self._attackers = {x: tuple(sorted(v, key=lambda p: p[1])) for x, v in attackers.items()}
         self._supporters = {x: tuple(sorted(v, key=lambda p: p[1])) for x, v in supporters.items()}
+        self._incidence = None
 
     def _check_well_founded(self):
         # relation -> relations appearing as its endpoints must form a DAG
-        WHITE, GREY, BLACK = 0, 1, 2
-        colour = {rel.id: WHITE for rel in self.attacks + self.supports}
-
         def refs(rid: ElementId) -> list[ElementId]:
             rel = self._by_id[rid]
             return [e for e in (rel.source, rel.target) if e in self._by_id]
 
-        for start in colour:
-            if colour[start] != WHITE:
-                continue
-            stack = [(start, iter(refs(start)))]
-            colour[start] = GREY
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    if colour[nxt] == GREY:
-                        raise ValidationError(
-                            f"definitional cycle among relations involving {nxt}"
-                        )
-                    if colour[nxt] == WHITE:
-                        colour[nxt] = GREY
-                        stack.append((nxt, iter(refs(nxt))))
-                        advanced = True
-                        break
-                if not advanced:
-                    colour[node] = BLACK
-                    stack.pop()
+        node = _cycle_node([rel.id for rel in self.attacks + self.supports], refs)
+        if node is not None:
+            raise ValidationError(f"definitional cycle among relations involving {node}")
 
     # -- lookups ---------------------------------------------------------
 
@@ -255,8 +240,12 @@ class HAFS:
         """Incoming supports on ``x`` as (supporter, support-id) pairs."""
         return self._supporters[x]
 
-    def has_pair(self, kind: Kind, source: ElementId, target: ElementId) -> bool:
-        return (kind, source, target) in self._pairs
+    @property
+    def incidence(self) -> "Incidence":
+        """The integer-indexed view, built on first use."""
+        if self._incidence is None:
+            self._incidence = Incidence(self)
+        return self._incidence
 
     def __contains__(self, x: ElementId) -> bool:
         return x in self._attackers
@@ -279,6 +268,35 @@ class HAFS:
     def __repr__(self) -> str:
         return (f"HAFS({len(self.arguments)} arguments, "
                 f"{len(self.attacks)} attacks, {len(self.supports)} supports)")
+
+
+class Incidence:
+    """Integer-indexed incidence of a framework.
+
+    ``position[x]`` is the index of ``x`` in ``universe``.  For each
+    position ``i``, ``incoming[i]`` is the pair (attack pairs, support
+    pairs): the (attacker, attack) and (supporter, support) positions in
+    the relation-id order of ``attackers_of``/``supporters_of``;
+    ``outgoing_supports[i]`` lists the (target, support) positions of the
+    supports leaving ``i``.  ``free`` holds the positions with an incoming
+    edge, in order.
+    """
+
+    __slots__ = ("position", "incoming", "outgoing_supports", "free")
+
+    def __init__(self, h: HAFS):
+        position = {x: i for i, x in enumerate(h.universe)}
+        self.position = position
+        self.incoming = tuple(
+            (tuple((position[b], position[r]) for b, r in h.attackers_of(x)),
+             tuple((position[c], position[t]) for c, t in h.supporters_of(x)))
+            for x in h.universe
+        )
+        outgoing: list[list[tuple[int, int]]] = [[] for _ in h.universe]
+        for rel in h.supports:
+            outgoing[position[rel.source]].append((position[rel.target], position[rel.id]))
+        self.outgoing_supports = tuple(tuple(edges) for edges in outgoing)
+        self.free = tuple(i for i, (att, supp) in enumerate(self.incoming) if att or supp)
 
 
 # -- parsing ---------------------------------------------------------------
@@ -421,34 +439,35 @@ def serialize(h: HAFS) -> str:
 # -- support-graph acyclicity ----------------------------------------------
 
 
-def is_support_acyclic(h: HAFS) -> bool:
-    """True iff the directed graph of support (source -> target) pairs has no cycle."""
-    out_edges: dict[ElementId, list[ElementId]] = {}
-    for t in h.supports:
-        out_edges.setdefault(t.source, []).append(t.target)
-
+def _cycle_node(nodes, successors):
+    """A node closing a directed cycle, by iterative depth-first search
+    from each node in turn; None when the graph is acyclic."""
     WHITE, GREY, BLACK = 0, 1, 2
-    colour: dict[ElementId, int] = {x: WHITE for x in h.universe}
-    for start in h.universe:
+    colour = dict.fromkeys(nodes, WHITE)
+    for start in colour:
         if colour[start] != WHITE:
             continue
-        stack = [(start, iter(out_edges.get(start, ())))]
+        stack = [(start, iter(successors(start)))]
         colour[start] = GREY
         while stack:
             node, it = stack[-1]
-            advanced = False
             for nxt in it:
                 if colour[nxt] == GREY:
-                    return False
+                    return nxt
                 if colour[nxt] == WHITE:
                     colour[nxt] = GREY
-                    stack.append((nxt, iter(out_edges.get(nxt, ()))))
-                    advanced = True
+                    stack.append((nxt, iter(successors(nxt))))
                     break
-            if not advanced:
+            else:
                 colour[node] = BLACK
                 stack.pop()
-    return True
+    return None
+
+
+def is_support_acyclic(h: HAFS) -> bool:
+    """True iff the directed graph of support (source -> target) pairs has no cycle."""
+    outgoing = h.incidence.outgoing_supports
+    return _cycle_node(range(len(h)), lambda i: [t for t, _ in outgoing[i]]) is None
 
 
 # -- random generation -------------------------------------------------------

@@ -12,76 +12,51 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from typing import Iterable, Iterator, Literal
+from typing import Iterable, Literal
 
 import numpy as np
 
 from .errors import SizeBoundError, ValidationError
 from .framework import HAFS, ElementId
 from .limits import DEFAULT_LABELLING_BOUND, universe_bound
+from .logic import THREE_VALUES, Assignment
 
-ZERO = Fraction(0)
-HALF = Fraction(1, 2)
-ONE = Fraction(1)
-
-THREE_VALUES = (ZERO, HALF, ONE)
+ZERO, HALF, ONE = THREE_VALUES
 
 Semantics = Literal["grounded", "preferred", "stable"]
 
-# rows of the enumeration grid use this integer coding
-_CODE_TO_VALUE = {0: ZERO, 1: HALF, 2: ONE}
+# rows of the enumeration grids are swept this many at a time
+CHUNK_ROWS = 3 ** 12
 
 
-class Labelling3(Mapping):
+def grid_codes(width: int, base: int, start: int, stop: int) -> np.ndarray:
+    """Base-``base`` digits of grid rows ``start..stop``, first column most
+    significant; column-major, so each column is contiguous.  Three-valued
+    grids use base 3, code k standing for ``THREE_VALUES[k]``."""
+    rows = np.arange(start, stop, dtype=np.int64)
+    codes = np.empty((stop - start, width), dtype=np.int8, order="F")
+    for j in reversed(range(width)):
+        codes[:, j] = rows % base
+        rows //= base
+    return codes
+
+
+class Labelling3(Assignment):
     """Immutable total map from elements to {0, 1/2, 1}."""
 
-    __slots__ = ("_values", "_hash")
+    __slots__ = ()
 
-    def __init__(self, values: Mapping[ElementId, object] | Iterable[tuple[ElementId, object]]):
-        items = values.items() if isinstance(values, Mapping) else values
-        store: dict[ElementId, Fraction] = {}
-        for key, raw in items:
-            value = Fraction(raw)
-            if value not in THREE_VALUES:
-                raise ValidationError(f"value {raw!r} for {key} is not one of 0, 1/2, 1")
-            store[key] = value
-        self._values = dict(sorted(store.items()))
-        self._hash = hash(tuple(self._values.items()))
-
-    def __getitem__(self, key: ElementId) -> Fraction:
-        return self._values[key]
-
-    def __iter__(self) -> Iterator[ElementId]:
-        return iter(self._values)
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Labelling3):
-            return self._values == other._values
-        if isinstance(other, Mapping):
-            return dict(self._values) == dict(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k.qualified}: {v}" for k, v in self._values.items())
-        return f"Labelling3({{{inner}}})"
+    @staticmethod
+    def _coerce(key: ElementId, raw) -> Fraction:
+        value = Fraction(raw)
+        if value not in THREE_VALUES:
+            raise ValidationError(f"value {raw!r} for {key} is not one of 0, 1/2, 1")
+        return value
 
     @property
     def core(self) -> frozenset[ElementId]:
         """Elements labelled 1."""
         return frozenset(k for k, v in self._values.items() if v == ONE)
-
-    def to_json_obj(self) -> dict[str, str]:
-        return {k.qualified: str(v) for k, v in self._values.items()}
-
-
-def core(labelling: Labelling3) -> frozenset[ElementId]:
-    return labelling.core
 
 
 def _require_total(h: HAFS, labelling: Mapping[ElementId, Fraction]):
@@ -119,9 +94,6 @@ def is_adjacent_complete(h: HAFS, labelling: Labelling3) -> bool:
     return True
 
 
-_CHUNK_ROWS = 3 ** 12
-
-
 def enumerate_adjacent_complete(h: HAFS, bound: int | None = None) -> tuple[Labelling3, ...]:
     """All labellings satisfying the per-element conditions.
 
@@ -134,33 +106,19 @@ def enumerate_adjacent_complete(h: HAFS, bound: int | None = None) -> tuple[Labe
     if n > limit:
         raise SizeBoundError(f"universe has {n} elements, bound is {limit}")
 
-    order = h.universe
-    index = {e: i for i, e in enumerate(order)}
+    view = h.incidence
     # only elements with incoming edges vary; the rest must be 1
-    free = [i for i, e in enumerate(order)
-            if h.attackers_of(e) or h.supporters_of(e)]
-
-    # per-element condition inputs as column indices
-    checks = []
-    for i in free:
-        e = order[i]
-        att = [(index[b], index[r]) for b, r in h.attackers_of(e)]
-        supp = [(index[c], index[t]) for c, t in h.supporters_of(e)]
-        checks.append((i, att, supp))
-
-    k = len(free)
-    weights = [3 ** (k - 1 - j) for j in range(k)]
-    total = 3 ** k
+    free = view.free
+    total = 3 ** len(free)
     found: list[Labelling3] = []
-    for start in range(0, total, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, total)
-        rows = np.arange(start, stop, dtype=np.int64)
-        grid = np.full((stop - start, n), 2, dtype=np.int8)
-        for j, i in enumerate(free):
-            grid[:, i] = (rows // weights[j]) % 3
+    for start in range(0, total, CHUNK_ROWS):
+        stop = min(start + CHUNK_ROWS, total)
+        grid = np.full((stop - start, n), 2, dtype=np.int8, order="F")
+        grid[:, free] = grid_codes(len(free), 3, start, stop)
 
         valid = np.ones(stop - start, dtype=bool)
-        for ia, att, supp in checks:
+        for ia in free:
+            att, supp = view.incoming[ia]
             cond_one = np.ones(stop - start, dtype=bool)
             cond_zero = np.zeros(stop - start, dtype=bool)
             for ib, ir in att:
@@ -169,15 +127,13 @@ def enumerate_adjacent_complete(h: HAFS, bound: int | None = None) -> tuple[Labe
             for ic, it in supp:
                 cond_one &= (grid[:, ic] == 2) | (grid[:, it] == 0)
                 cond_zero |= (grid[:, ic] == 0) & (grid[:, it] == 2)
-            col = grid[:, ia]
-            valid &= np.where(cond_one, col == 2, np.where(cond_zero, col == 0, col == 1))
+            expected = np.where(cond_one, 2, np.where(cond_zero, 0, 1))
+            valid &= grid[:, ia] == expected
             if not valid.any():
                 break
 
-        for row in grid[valid]:
-            found.append(Labelling3(
-                {e: _CODE_TO_VALUE[int(row[i])] for i, e in enumerate(order)}
-            ))
+        for row in grid[valid].tolist():
+            found.append(Labelling3(zip(h.universe, [THREE_VALUES[k] for k in row])))
     return tuple(found)
 
 

@@ -197,28 +197,24 @@ class Assignment(Mapping):
     floats are kept as floats.  ``exact`` tells the two modes apart.
     """
 
-    __slots__ = ("_values", "_exact", "_hash")
+    __slots__ = ("_values", "_hash")
 
     def __init__(self, values: Mapping[ElementId, object] | Iterable[tuple[ElementId, object]]):
         items = values.items() if isinstance(values, Mapping) else values
-        store: dict[ElementId, object] = {}
-        exact = True
-        for key, raw in items:
-            if isinstance(raw, float):
-                value: object = raw
-                exact = False
-            else:
-                value = Fraction(raw)
-            if not 0 <= value <= 1:
-                raise ValidationError(f"value {raw!r} for {key} is outside [0, 1]")
-            store[key] = value
+        store = {key: self._coerce(key, raw) for key, raw in items}
         self._values = dict(sorted(store.items()))
-        self._exact = exact
         self._hash = hash(tuple(self._values.items()))
+
+    @staticmethod
+    def _coerce(key: ElementId, raw) -> object:
+        value = raw if isinstance(raw, float) else Fraction(raw)
+        if not 0 <= value <= 1:
+            raise ValidationError(f"value {raw!r} for {key} is outside [0, 1]")
+        return value
 
     @property
     def exact(self) -> bool:
-        return self._exact
+        return not any(isinstance(v, float) for v in self._values.values())
 
     def __getitem__(self, key: ElementId):
         return self._values[key]
@@ -230,6 +226,8 @@ class Assignment(Mapping):
         return len(self._values)
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, Assignment):
+            return self._values == other._values
         if isinstance(other, Mapping):
             return dict(self._values) == dict(other)
         return NotImplemented
@@ -239,7 +237,7 @@ class Assignment(Mapping):
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k.qualified}: {v}" for k, v in self._values.items())
-        return f"Assignment({{{inner}}})"
+        return f"{type(self).__name__}({{{inner}}})"
 
     def to_json_obj(self) -> dict[str, object]:
         out: dict[str, object] = {}
@@ -250,7 +248,7 @@ class Assignment(Mapping):
 
 # -- evaluation --------------------------------------------------------------
 
-_THREE = (Fraction(0), Fraction(1, 2), Fraction(1))
+THREE_VALUES = (Fraction(0), Fraction(1, 2), Fraction(1))
 
 
 def _lookup(assignment: Mapping, element: ElementId, logic: LogicSystem):
@@ -259,7 +257,7 @@ def _lookup(assignment: Mapping, element: ElementId, logic: LogicSystem):
     except KeyError:
         raise EvaluationError(f"variable {element.qualified} is unassigned") from None
     if logic.value_domain == "three_valued":
-        if not any(value == t for t in _THREE):
+        if not any(value == t for t in THREE_VALUES):
             raise EvaluationError(
                 f"value {value!r} of {element.qualified} is not three-valued"
             )

@@ -13,7 +13,7 @@ from hafs import (Assignment, GODEL, L3, LUKASIEWICZ, PRODUCT, PreconditionError
                   is_model, support_id, ternarize, verify)
 from hafs import bridge
 from hafs.bridge import VerificationReport
-from hafs.labellings import HALF, ONE, THREE_VALUES, ZERO
+from hafs.labellings import HALF, ONE, THREE_VALUES, ZERO, grid_codes
 
 from helpers import corpus
 
@@ -171,7 +171,7 @@ class TestExactGrid:
         for h, _ in self.FRAMEWORKS:
             formula = encode_normal(h)
             system = build_equations(h, logic)
-            codes = bridge._exhaustive_codes(len(h), 0, 5 ** len(h))
+            codes = grid_codes(len(h), 5, 0, 5 ** len(h))
             columns = bridge._quarter_columns(h.universe, codes, dtype)
             one = np.ones(len(codes), dtype=dtype)
             num, den = bridge._eval_grid_exact(formula, columns, one, logic)

@@ -160,6 +160,15 @@ class TestVerify:
         code, _, err = invoke(["verify", example3_file, "--theorem", "T2"])
         assert code == 1 and "cycle" in err
 
+    def test_repeated_theorem_list_does_not_leak(self, self_attack_file):
+        # the parser is reused across calls; each call starts a fresh list
+        code, out, _ = invoke(["verify", self_attack_file, "--theorem", "T1"])
+        assert code == 0
+        assert [r["theorem"] for r in json.loads(out)["reports"]] == ["T1"]
+        code, out, _ = invoke(["verify", self_attack_file, "--theorem", "T1", "--theorem", "T2"])
+        assert code == 0
+        assert [r["theorem"] for r in json.loads(out)["reports"]] == ["T1", "T2"]
+
     def test_usage_error_exits_2(self, example3_file):
         code, _, _ = invoke(["verify", example3_file, "--theorem", "T99"])
         assert code == 2

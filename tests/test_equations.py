@@ -71,20 +71,27 @@ class TestClosedForms:
         rng = random.Random(3)
         for h, _ in corpus(15, max_u=6, seed_base=9400):
             order = h.universe
-            index = {e: i for i, e in enumerate(order)}
             for logic in (GODEL, PRODUCT, LUKASIEWICZ):
                 system = build_equations(h, logic)
-                compiled = []
-                for eq in system.equations:
-                    att = [(index[b], index[r]) for b, r in eq.attacker_pairs]
-                    supp = [(index[c], index[t]) for c, t in eq.supporter_pairs]
-                    compiled.append((index[eq.element], att, supp))
-                fast = _compile_apply(logic, compiled, len(order))
+                fast = _compile_apply(logic, h.incidence)
                 for _ in range(5):
                     x = [rng.random() for _ in order]
                     values = dict(zip(order, x))
                     expected = [system.rhs(eq, values) for eq in system.equations]
                     assert fast(x) == expected
+
+    def test_generic_fold_matches_inlined_min(self):
+        # a t-norm the kernels do not recognise takes the h_function fold
+        wrapped = LogicSystem(name="min-wrapped", value_domain="unit_interval",
+                              negation=GODEL.negation, tnorm=lambda x, y: min(x, y),
+                              implication=GODEL.implication)
+        rng = random.Random(5)
+        for h, _ in corpus(15, max_u=6, seed_base=9400):
+            generic = _compile_apply(wrapped, h.incidence)
+            inlined = _compile_apply(GODEL, h.incidence)
+            for _ in range(5):
+                x = [rng.random() for _ in h.universe]
+                assert generic(x) == inlined(x)
 
 
 class TestResidual:

@@ -58,6 +58,18 @@ class TestIndirectDefeat:
         # removing the middle support breaks the chain
         assert not indirectly_defeats(h, B, A, full - ids("supp:t2"))
 
+    def test_long_chain_has_no_recursion_limit(self):
+        # a0 -> a1 -> ... -> a3000 by supports, with b attacking the head a0
+        links = 3000
+        text = "arg(b). att(r0,b,a0). " + " ".join(f"arg(a{i})." for i in range(links + 1))
+        text += " ".join(f"supp(t{i},a{i},a{i + 1})." for i in range(links))
+        h = hafs.parse(text)
+        tail = argument(f"a{links}")
+        full = frozenset(h.universe)
+        assert indirectly_defeats(h, B, tail, full)
+        assert not indirectly_defeats(h, B, tail, full - ids("supp:t1500"))
+        assert tail in dft(h, full)
+
     def test_matches_lfp_oracle_on_all_subsets(self):
         frameworks = [h for h, _ in corpus(25, max_u=6, max_args=3, seed_base=4000)]
         for h in frameworks:

@@ -116,6 +116,20 @@ class TestIncomingIndex:
                 assert list(h.attackers_of(x)) == naive_att
                 assert list(h.supporters_of(x)) == naive_supp
 
+    def test_incidence_matches_lookups(self):
+        for h, _ in corpus(40, seed_base=500):
+            view = h.incidence
+            assert view is h.incidence
+            at = h.universe.__getitem__
+            assert [at(view.position[x]) for x in h.universe] == list(h.universe)
+            for i, x in enumerate(h.universe):
+                att, supp = view.incoming[i]
+                assert [(at(b), at(r)) for b, r in att] == list(h.attackers_of(x))
+                assert [(at(c), at(t)) for c, t in supp] == list(h.supporters_of(x))
+                assert sorted((at(t), at(s)) for t, s in view.outgoing_supports[i]) == \
+                    sorted((t.target, t.id) for t in h.supports if t.source == x)
+                assert (i in view.free) == bool(att or supp)
+
 
 class TestSupportAcyclic:
     def test_self_support_is_cyclic(self, example3):

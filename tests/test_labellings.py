@@ -34,6 +34,16 @@ class TestLabelling3:
         assert lab(arg_a=1) == lab(arg_a=1)
         assert len({lab(arg_a=1), lab(arg_a=1), lab(arg_a=0)}) == 2
 
+    def test_equals_and_hashes_like_its_embedding(self):
+        for h, _ in corpus(20, max_u=6, seed_base=3100):
+            for labelling in enumerate_adjacent_complete(h):
+                embedded = hafs.embed(labelling)
+                assert type(embedded) is hafs.Assignment
+                assert labelling == embedded and embedded == labelling
+                assert hash(labelling) == hash(embedded)
+                assert labelling.to_json_obj() == embedded.to_json_obj()
+                assert repr(labelling) == "Labelling3" + repr(embedded)[len("Assignment"):]
+
 
 class TestIsAdjacentComplete:
     def test_example3_decided_labelling(self, example3):
