@@ -179,13 +179,22 @@ def _compile_apply(logic: LogicSystem, view: Incidence):
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of one damped-iteration run."""
+    """Outcome of one iteration run.
+
+    ``stop_reason`` is ``"tolerance"`` (converged), ``"max_iter"`` (the
+    budget ran out) or ``"stalled"`` (the iterate stopped changing with
+    the residual above tolerance, so every further step would repeat).
+    """
 
     solution: Assignment
     residual: float
     iterations: int
     restart_index: int
-    converged: bool
+    stop_reason: str
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "tolerance"
 
     def to_json_obj(self) -> dict:
         return {
@@ -197,6 +206,16 @@ class SolveReport:
         }
 
 
+# A damped run has stalled when, at an iteration from _STALL_START on that
+# is a multiple of _STALL_EVERY, its residual did not halve over the last
+# _STALL_EVERY iterations.  Near a degenerate fixed point (Product) the
+# damped step decays like 1/k; healthy runs converge long before.
+_STALL_START = 200
+_STALL_EVERY = 50
+_ANDERSON_DEPTH = 5
+_SNAP = 1e-3
+
+
 def solve_fixed_point(system: EquationSystem, damping: float = 0.5,
                       tolerance: float = 1e-9, max_iter: int = 100_000,
                       restarts: int = 8, seed: int = 0) -> list[SolveReport]:
@@ -204,9 +223,13 @@ def solve_fixed_point(system: EquationSystem, damping: float = 0.5,
 
     Starts are all-0, all-1, all-1/2 and ``restarts`` seeded random
     vectors.  Damping suppresses the period-two oscillation the plain
-    iteration exhibits on mutual attacks.  Converged duplicates (within
-    ten tolerances in max norm) of an earlier solution are dropped;
-    non-converged runs are reported as such, never hidden.
+    iteration exhibits on mutual attacks.  A run whose residual stops
+    halving (see ``_STALL_START``) continues with Anderson acceleration,
+    and when it converges there, coordinates within 1e-3 of 0 or 1 are
+    snapped to them if the snapped vector is verified to be within
+    tolerance too.  Every step counts against ``max_iter``.  Converged
+    duplicates (within ten tolerances in max norm) of an earlier solution
+    are dropped; non-converged runs are reported as such, never hidden.
     """
     if not system.logic.continuous:
         raise PreconditionError(
@@ -227,9 +250,9 @@ def solve_fixed_point(system: EquationSystem, damping: float = 0.5,
     keep = 1.0 - damping
     for start_index, x in enumerate(starts):
         x = list(x)
-        converged = False
+        stop_reason = "max_iter"
         iterations = 0
-        gap = 0.0
+        gap = mark = 0.0
         for iterations in range(max_iter + 1):
             fx = apply(x)
             gap = 0.0
@@ -240,12 +263,19 @@ def solve_fixed_point(system: EquationSystem, damping: float = 0.5,
                 if d > gap:
                     gap = d
             if gap <= tolerance:
-                converged = True
+                stop_reason = "tolerance"
                 break
             if iterations == max_iter:
                 break
+            if iterations % _STALL_EVERY == 0:
+                if iterations >= _STALL_START and gap > 0.5 * mark:
+                    x, gap, iterations, stop_reason = _accelerate(
+                        apply, x, fx, gap, iterations, damping, tolerance, max_iter)
+                    break
+                mark = gap
             for j in range(n):
                 x[j] = keep * x[j] + damping * fx[j]
+        converged = stop_reason == "tolerance"
         if converged and any(
             max(abs(a - b) for a, b in zip(x, prev)) <= 10 * tolerance for prev in kept
         ):
@@ -257,9 +287,104 @@ def solve_fixed_point(system: EquationSystem, damping: float = 0.5,
             residual=gap,
             iterations=iterations,
             restart_index=start_index,
-            converged=converged,
+            stop_reason=stop_reason,
         ))
     return reports
+
+
+def _max_gap(x: list[float], fx: list[float]) -> float:
+    return max((abs(a - b) for a, b in zip(x, fx)), default=0.0)
+
+
+def _accelerate(apply, x: list[float], fx: list[float], gap: float, iterations: int,
+                damping: float, tolerance: float,
+                max_iter: int) -> tuple[list[float], float, int, str]:
+    """Continue a stalled damped run with Anderson acceleration.
+
+    Anderson acceleration (Walker & Ni, SIAM J. Numer. Anal. 2011) on
+    G(x) = F(x) - x with depth ``_ANDERSON_DEPTH``: each step takes the
+    damped step from the combination of the last few iterates whose
+    linearised G is smallest, projected onto [0, 1].  A step that does
+    not lower the max residual is replaced by the plain damped step from
+    the same point.  Returns the final point, its residual, the
+    iteration count and the stop reason.
+    """
+    n = len(x)
+    keep = 1.0 - damping
+    g = [fx[j] - x[j] for j in range(n)]
+    dxs: list[list[float]] = []  # differences of consecutive accepted iterates
+    dgs: list[list[float]] = []  # ... and of their G values
+    damped = True
+    while iterations < max_iter:
+        if damped:
+            y = [keep * x[j] + damping * fx[j] for j in range(n)]
+        else:
+            gamma = _least_squares(dgs, g)
+            y = []
+            for j in range(n):
+                v = x[j] + damping * g[j]
+                for c, dx, dg in zip(gamma, dxs, dgs):
+                    v -= c * (dx[j] + damping * dg[j])
+                y.append(v if 0.0 <= v <= 1.0 else 1.0 if v > 1.0 else 0.0)  # NaN -> 0
+        iterations += 1
+        fy = apply(y)
+        gy = _max_gap(y, fy)
+        if gy <= tolerance:
+            y, gy = _snap(apply, y, gy, tolerance)
+            return y, gy, iterations, "tolerance"
+        if not damped and gy >= gap:
+            damped = True
+            continue
+        if y == x:
+            return x, gap, iterations, "stalled"
+        gy_vec = [fy[j] - y[j] for j in range(n)]
+        dxs.append([y[j] - x[j] for j in range(n)])
+        dgs.append([gy_vec[j] - g[j] for j in range(n)])
+        if len(dxs) > _ANDERSON_DEPTH:
+            del dxs[0], dgs[0]
+        x, fx, g, gap = y, fy, gy_vec, gy
+        damped = False
+    return x, gap, iterations, "max_iter"
+
+
+def _least_squares(columns: list[list[float]], b: list[float]) -> list[float]:
+    """Coefficients c minimising ||b - sum(c_i * columns[i])||_2.
+
+    QR by modified Gram-Schmidt from the newest column back; a column
+    nearly dependent on newer ones gets coefficient 0.
+    """
+    m = len(columns)
+    basis: list[tuple[int, list[float]]] = []  # (column index, unit vector)
+    r = [[0.0] * m for _ in range(m)]          # r[k][i]: basis k's part of column i
+    for i in reversed(range(m)):
+        v = columns[i]
+        size = sum(t * t for t in v) ** 0.5
+        for k, (_, q) in enumerate(basis):
+            r[k][i] = part = sum(a * c for a, c in zip(q, v))
+            v = [a - part * c for a, c in zip(v, q)]
+        norm = sum(t * t for t in v) ** 0.5
+        if norm > 1e-10 * size:
+            r[len(basis)][i] = norm
+            basis.append((i, [t / norm for t in v]))
+    coef = [0.0] * m
+    for k in reversed(range(len(basis))):
+        i, q = basis[k]
+        s = sum(a * c for a, c in zip(q, b))
+        for p, _ in basis[k + 1:]:
+            s -= r[k][p] * coef[p]
+        coef[i] = s / r[k][i]
+    return coef
+
+
+def _snap(apply, x: list[float], gap: float, tolerance: float) -> tuple[list[float], float]:
+    """``x`` with near-0/1 coordinates set to exactly 0/1, if that is
+    verified to be within tolerance too; else ``x`` unchanged."""
+    snapped = [0.0 if v <= _SNAP else 1.0 if v >= 1.0 - _SNAP else v for v in x]
+    if snapped != x:
+        snapped_gap = _max_gap(snapped, apply(snapped))
+        if snapped_gap <= tolerance:
+            return snapped, snapped_gap
+    return x, gap
 
 
 def enumerate_ternary_solutions(system: EquationSystem,

@@ -59,6 +59,15 @@ class ElementId:
     def __post_init__(self):
         if not _NAME_RE.fullmatch(self.name):
             raise ValidationError(f"invalid element name {self.name!r}")
+        # the dataclass hash, computed once: ids key every map and set
+        object.__setattr__(self, "_hash", hash((self.kind, self.name)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # str hashes differ between processes: unpickling recomputes the hash
+        return ElementId, (self.kind, self.name)
 
     def __lt__(self, other: "ElementId") -> bool:
         return (_KIND_ORDER[self.kind], self.name) < (_KIND_ORDER[other.kind], other.name)

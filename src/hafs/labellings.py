@@ -48,6 +48,8 @@ class Labelling3(Assignment):
 
     @staticmethod
     def _coerce(key: ElementId, raw) -> Fraction:
+        if raw is ZERO or raw is HALF or raw is ONE:
+            return raw
         value = Fraction(raw)
         if value not in THREE_VALUES:
             raise ValidationError(f"value {raw!r} for {key} is not one of 0, 1/2, 1")

@@ -1,3 +1,4 @@
+import io
 import random
 from fractions import Fraction
 
@@ -9,13 +10,25 @@ from hafs import (Assignment, GODEL, L3, LUKASIEWICZ, PRODUCT, PreconditionError
                   SizeBoundError, argument, attack_id, build_equations,
                   enumerate_ternary_solutions, h_function, residual,
                   solve_fixed_point, support_id)
-from hafs.equations import _compile_apply
+from hafs.bridge import ternarize
+from hafs.cli import run
+from hafs.equations import _compile_apply, _least_squares
+from hafs.labellings import is_adjacent_complete
 from hafs.logic import LogicSystem
 
 from helpers import corpus, godel_rhs, product_rhs
 
 V0, VH, V1 = Fraction(0), Fraction(1, 2), Fraction(1)
 A, R1, T1 = argument("a"), attack_id("r1"), support_id("t1")
+
+# Product systems with degenerate fixed points, where the damped step decays
+# like 1/k: every damped start stalls on the first; on the second the all-0
+# start used to stop 4.5e-5 from the exact 0/1 values at residual 1e-9.
+DEGENERATE = "arg(a1). att(r1,a1,a1). supp(t1,a1,r1). supp(t2,a1,a1)."
+TERNARIZE = ("arg(a0). arg(a1). arg(a2). arg(a3). arg(a4). arg(a5). arg(a6). arg(a7). "
+             "att(r0,a2,a4). att(r1,t0,a0). att(r2,a7,t1). att(r3,a7,t2). att(r4,a4,a6). "
+             "att(r5,t2,a1). supp(t0,r0,a1). supp(t1,a3,a7). supp(t2,a1,t0). supp(t3,t1,a3). "
+             "supp(t4,a3,a6). supp(t5,t2,r1).")
 
 rationals01 = st.fractions(min_value=0, max_value=1, max_denominator=32)
 fuzzy_logics = st.sampled_from([GODEL, PRODUCT, LUKASIEWICZ])
@@ -226,6 +239,74 @@ class TestSolve:
         system = build_equations(self_attack, GODEL)
         with pytest.raises(PreconditionError):
             solve_fixed_point(system, damping=0.0)
+
+    def test_degenerate_product_point_is_reached_exactly(self):
+        system = build_equations(hafs.parse(DEGENERATE), PRODUCT)
+        reports = solve_fixed_point(system, restarts=0)
+        # the all-1 and all-1/2 starts converge too, to duplicates of the first
+        assert [(r.restart_index, r.converged) for r in reports] == [(0, True)]
+        solution = reports[0].solution
+        assert solution[argument("a1")] == 0.0 and solution[attack_id("r1")] == 0.0
+        assert system.residual(solution) <= 1e-9
+        code = run(["solve", "-", "--logic", "product"], stdin=io.StringIO(DEGENERATE),
+                   stdout=io.StringIO(), stderr=io.StringIO())
+        assert code == 0
+
+    def test_converged_product_reports_ternarize_to_labellings(self):
+        h = hafs.parse(TERNARIZE)
+        reports = solve_fixed_point(build_equations(h, PRODUCT))
+        assert any(r.converged for r in reports)
+        for r in reports:
+            if r.converged:
+                assert is_adjacent_complete(h, ternarize(r.solution)), r.restart_index
+
+    @pytest.mark.parametrize("damping", [0.05, 1.0])
+    def test_accelerated_phase_converges_under_every_logic(self, damping):
+        # damping 0.05 makes the stall test fire under all three t-norm folds;
+        # undamped runs oscillate, and there some Anderson steps raise the
+        # residual and the damped step has to take over
+        for h, _ in corpus(15, max_u=6, seed_base=10_200):
+            for logic in (GODEL, PRODUCT, LUKASIEWICZ):
+                system = build_equations(h, logic)
+                for r in solve_fixed_point(system, damping=damping):
+                    assert r.converged and r.residual <= 1e-9, (logic.name, r)
+                    assert system.residual(r.solution) <= 1e-9
+
+    def test_every_acceptance_corpus_run_converges(self):
+        for h in [h for h, _ in corpus(200, max_u=6, max_args=3, seed_base=10_000)]:
+            for logic in (GODEL, PRODUCT, LUKASIEWICZ):
+                for r in solve_fixed_point(build_equations(h, logic), seed=1):
+                    assert r.stop_reason == "tolerance" and r.residual <= 1e-9, (logic.name, r)
+
+    def test_run_that_cannot_move_stops_as_stalled(self, self_attack):
+        # 1 - 1e-300 rounds to 1, so from all-1 every damped step repeats x
+        system = build_equations(self_attack, PRODUCT)
+        reports = solve_fixed_point(system, damping=1e-300, max_iter=1000, restarts=0)
+        (stuck,) = [r for r in reports if r.restart_index == 1]
+        assert stuck.stop_reason == "stalled" and not stuck.converged
+        assert stuck.iterations == 201  # the first step after the stall test fired
+
+    def test_budget_exhausted_stops_at_max_iter(self, self_attack):
+        system = build_equations(self_attack, GODEL)
+        reports = solve_fixed_point(system, max_iter=0, restarts=0)
+        assert [(r.stop_reason, r.iterations) for r in reports] == [("max_iter", 0)] * 3
+
+    def test_least_squares_matches_numpy(self):
+        import numpy as np
+        rng = random.Random(6)
+        for n, m in ((1, 1), (3, 2), (6, 5), (40, 5)):
+            for _ in range(5):
+                cols = [[rng.uniform(-1, 1) for _ in range(n)] for _ in range(m)]
+                if m > 1:
+                    cols[0] = [2.0 * t for t in cols[-1]]  # dependent on a newer column
+                b = [rng.uniform(-1, 1) for _ in range(n)]
+                coef = _least_squares(cols, b)
+                a = np.array(cols).T
+                best = np.linalg.lstsq(a, np.array(b), rcond=None)[0]
+                gap = np.linalg.norm(a @ np.array(coef) - b)
+                assert gap <= np.linalg.norm(a @ best - b) + 1e-9
+                if m > 1:
+                    assert coef[0] == 0.0
 
     def test_report_json_shape(self, self_attack):
         system = build_equations(self_attack, GODEL)

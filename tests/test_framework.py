@@ -28,6 +28,19 @@ class TestElementId:
         assert argument("a") != attack_id("a")
         assert argument("a") == argument("a")
 
+    def test_hash_is_the_field_tuple_hash_after_pickling_elsewhere(self):
+        import os, pickle, subprocess, sys
+        eid = attack_id("r1")
+        assert hash(eid) == hash((eid.kind, eid.name))
+        # str hashes depend on the process's hash seed; a cached hash must not travel
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        dumped = subprocess.run(
+            [sys.executable, "-c", "import pickle, sys; from hafs import attack_id; "
+             "sys.stdout.buffer.write(pickle.dumps({attack_id('r1'): 1}))"],
+            capture_output=True, check=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": "1"}).stdout
+        assert pickle.loads(dumped)[eid] == 1
+
 
 class TestParse:
     def test_minimal_framework(self):
