@@ -21,13 +21,13 @@ from .equations import (EquationSystem, build_equations, enumerate_ternary_solut
 from .errors import PreconditionError, SizeBoundError, ValidationError
 from .extensions import enumerate_extensions, extension_derived_labelling
 from .framework import HAFS, is_support_acyclic, serialize
-from .labellings import CHUNK_ROWS, HALF, ONE, THREE_VALUES, ZERO, Labelling3, \
+from .labellings import HALF, ONE, THREE_VALUES, ZERO, Labelling3, \
     enumerate_adjacent_complete, grid_codes, is_adjacent_complete
 from .limits import DEFAULT_LABELLING_BOUND, universe_bound
 from .logic import And, Assignment, Bottom, Formula, GODEL, Iff, Implies, LogicSystem, \
     LUKASIEWICZ, Not, Or, PRODUCT, Top, Var, _impl_godel, _impl_lukasiewicz, \
     _impl_product, _tnorm_lukasiewicz, _tnorm_min, _tnorm_product, \
-    compile_evaluator, encode_normal, get_logic
+    compile_evaluator, encode_normal, get_logic, variables
 
 FLOAT_TERNARIZE_TOL = 1e-6
 FLOAT_RESIDUAL_TOL = 1e-12
@@ -69,6 +69,79 @@ def embed(labelling: Labelling3) -> Assignment:
     return Assignment(dict(labelling))
 
 
+# -- frontier sweep --------------------------------------------------------------
+#
+# The encoded formula is a conjunction, and a conjunction takes the top value
+# exactly when every conjunct does: under min, and under every built-in
+# t-norm, which lies below min.  An equation system holds exactly when each
+# of its equations does.  So the grid sweeps assign the universe in order, a
+# few elements at a time, and test each conjunct or equation once its last
+# variable is assigned; a partial row that fails is dropped with every row
+# that extends it.  Rows extend in lexicographic order, so the survivors come
+# out in the order of the full grid.
+
+_FRONTIER_STEP = 2 ** 8  # a step adds columns while the chunk stays this small
+_FRONTIER_ROWS = 2 ** 14  # partial rows held per chunk
+
+
+def _conjuncts(formula: Formula) -> tuple[Formula, ...]:
+    return formula.children if isinstance(formula, And) else (formula,)
+
+
+def _by_level(order, items, variables_of) -> list[list]:
+    """``items`` by level: level k holds those whose last variable in
+    ``order`` is the k-th, level 0 those without variables."""
+    position = {e: j for j, e in enumerate(order)}
+    levels: list[list] = [[] for _ in range(len(order) + 1)]
+    for item in items:
+        levels[max((position[e] + 1 for e in variables_of(item)), default=0)].append(item)
+    return levels
+
+
+def _frontier(width: int, base: int, sides: int, check):
+    """Rows of the base-``base`` grid over ``width`` columns on which some
+    side still holds, in grid order, as (codes, alive) chunks.
+
+    Each step extends a chunk of at most ``_FRONTIER_ROWS`` partial rows,
+    depth-first so that memory stays bounded, by one column, or by more
+    while the result stays within ``_FRONTIER_STEP`` rows.  Then
+    ``check(codes, levels)`` tests the rows against the checks of the
+    levels just completed, per row and side, in an array that broadcasts
+    to (rows, sides), or returns None when there are none; ``alive`` is
+    the conjunction of these over all levels so far.  A row is dropped
+    once no side holds.
+    """
+    def survivors(codes, alive, levels):
+        holds = check(codes, levels)
+        if holds is None:
+            return codes, alive
+        alive = alive & holds
+        keep = alive.any(axis=1)
+        return codes[keep], alive[keep]
+
+    stack = [survivors(np.zeros((1, 0), dtype=np.int8), np.ones((1, sides), dtype=bool),
+                       range(1))]
+    while stack:
+        codes, alive = stack.pop()
+        rows, k = codes.shape
+        if not rows:
+            continue
+        if k == width:
+            yield codes, alive
+            continue
+        step = 1
+        while k + step < width and rows * base ** (step + 1) <= _FRONTIER_STEP:
+            step += 1
+        block = grid_codes(step, base, 0, base ** step)
+        grown = np.empty((rows * len(block), k + step), dtype=np.int8, order="F")
+        grown[:, :k] = np.repeat(codes, len(block), axis=0)
+        grown[:, k:] = np.tile(block, (rows, 1))
+        codes, alive = survivors(grown, np.repeat(alive, len(block), axis=0),
+                                 range(k + 1, k + step + 1))
+        stack.extend((codes[s:s + _FRONTIER_ROWS], alive[s:s + _FRONTIER_ROWS])
+                     for s in reversed(range(0, len(codes), _FRONTIER_ROWS)))
+
+
 # -- three-valued model enumeration ------------------------------------------
 
 _IMP3 = np.array([[2, 2, 2], [1, 2, 2], [0, 1, 2]], dtype=np.int8)
@@ -104,9 +177,12 @@ def _eval_grid3(f: Formula, columns, rows: int) -> np.ndarray:
 def enumerate_pl3_models(h: HAFS, bound: int | None = None) -> tuple[Labelling3, ...]:
     """All three-valued assignments satisfying the encoded formula.
 
-    Unpruned sweep over the full 3^|U| grid, evaluating the formula with
-    the three-valued connective tables; the labelling enumeration never
-    sees the formula, so set comparisons between the two are a real
+    Frontier sweep over the 3^|U| grid: elements are assigned in universe
+    order, and a partial assignment is dropped as soon as a conjunct of
+    the formula whose variables are all assigned is not 1 under the
+    three-valued connective tables.  Models come out in the order of the
+    full grid.  Only the formula is read, never the labelling conditions,
+    so set comparisons with the labelling enumeration are a real
     cross-check.
     """
     limit = bound if bound is not None else universe_bound(DEFAULT_LABELLING_BOUND)
@@ -115,15 +191,21 @@ def enumerate_pl3_models(h: HAFS, bound: int | None = None) -> tuple[Labelling3,
     if n > limit:
         raise SizeBoundError(f"universe has {n} elements, bound is {limit}")
 
-    formula = encode_normal(h)
-    total = 3 ** n
+    levels = _by_level(order, _conjuncts(encode_normal(h)), variables)
+
+    def check(codes, step):
+        conjuncts = [c for k in step for c in levels[k]]
+        if not conjuncts:
+            return None
+        columns = {e: codes[:, j] for j, e in enumerate(order[:codes.shape[1]])}
+        holds = np.ones(len(codes), dtype=bool)
+        for conjunct in conjuncts:
+            holds &= _eval_grid3(conjunct, columns, len(codes)) == 2
+        return holds[:, None]
+
     models: list[Labelling3] = []
-    for start in range(0, total, CHUNK_ROWS):
-        stop = min(start + CHUNK_ROWS, total)
-        codes = grid_codes(n, 3, start, stop)
-        columns = {e: codes[:, j] for j, e in enumerate(order)}
-        value = _eval_grid3(formula, columns, stop - start)
-        for row in codes[value == 2].tolist():
+    for codes, _ in _frontier(n, 3, 1, check):
+        for row in codes.tolist():
             models.append(Labelling3(zip(order, [THREE_VALUES[k] for k in row])))
     return tuple(models)
 
@@ -243,6 +325,8 @@ class _TooWide(Exception):
 
 
 def _reduced(num, den):
+    if not den.size:
+        return num, den
     g = np.gcd(num, den)
     num, den = num // g, den // g
     if den.dtype != object and int(den.max()) >= _INT64_SAFE:
@@ -306,9 +390,10 @@ def _fold_q(tnorm, terms, one):
     return (one, one) if acc is None else acc
 
 
-def _quarter_columns(order, codes: np.ndarray, dtype) -> dict:
+def _quarter_columns(positions, codes: np.ndarray, dtype) -> dict:
+    """Exact values of the elements at (column, element) ``positions``."""
     num, den = _QUARTER_NUM.astype(dtype), _QUARTER_DEN.astype(dtype)
-    return {e: (num[codes[:, j]], den[codes[:, j]]) for j, e in enumerate(order)}
+    return {e: (num[codes[:, j]], den[codes[:, j]]) for j, e in positions}
 
 
 def _eval_grid_exact(f: Formula, columns: dict, one: np.ndarray, logic: LogicSystem):
@@ -336,11 +421,13 @@ def _eval_grid_exact(f: Formula, columns: dict, one: np.ndarray, logic: LogicSys
     raise ValidationError(f"unknown formula node {type(f).__name__}")
 
 
-def _solution_mask(system: EquationSystem, columns: dict, one: np.ndarray) -> np.ndarray:
-    """Rows of a chunk on which every element equals the fold of its equation."""
-    tnorm = _TNORMS_Q[system.logic.tnorm]
+def _solution_mask(equations, logic: LogicSystem, columns: dict,
+                   one: np.ndarray) -> np.ndarray:
+    """Rows of a chunk on which each of ``equations`` holds: its element
+    equals the fold of its incoming pairs."""
+    tnorm = _TNORMS_Q[logic.tnorm]
     mask = np.ones(len(one), dtype=bool)
-    for eq in system.equations:
+    for eq in equations:
         terms = [_neg_q(tnorm(columns[b], columns[r])) for b, r in eq.attacker_pairs]
         terms += [_neg_q(tnorm(_neg_q(columns[c]), columns[t]))
                   for c, t in eq.supporter_pairs]
@@ -350,12 +437,95 @@ def _solution_mask(system: EquationSystem, columns: dict, one: np.ndarray) -> np
     return mask
 
 
-def _grid_verdicts(formula: Formula, system: EquationSystem, codes: np.ndarray, dtype):
-    """Model and solution masks of a chunk of quarter-grid rows."""
-    columns = _quarter_columns(system.universe, codes, dtype)
+def _grid_verdicts(formulas, equations, logic: LogicSystem, positions,
+                   codes: np.ndarray, dtype):
+    """Model and solution masks of a chunk of quarter-grid rows: whether
+    every formula is 1, and whether every equation holds."""
+    columns = _quarter_columns(positions, codes, dtype)
     one = np.ones(len(codes), dtype=dtype)
-    num, den = _eval_grid_exact(formula, columns, one, system.logic)
-    return num == den, _solution_mask(system, columns, one)
+    model = np.ones(len(codes), dtype=bool)
+    for f in formulas:
+        num, den = _eval_grid_exact(f, columns, one, logic)
+        model &= num == den
+    return model, _solution_mask(equations, logic, columns, one)
+
+
+def _quarter_verdicts(formulas, equations, logic: LogicSystem, positions,
+                      codes: np.ndarray):
+    """:func:`_grid_verdicts` on int64, or on Python ints where that is too narrow."""
+    try:
+        return _grid_verdicts(formulas, equations, logic, positions, codes, np.int64)
+    except _TooWide:
+        return _grid_verdicts(formulas, equations, logic, positions, codes, object)
+
+
+def _equation_variables(eq) -> set:
+    return {eq.element}.union(*eq.attacker_pairs, *eq.supporter_pairs)
+
+
+def _exhaustive_verdicts(formula: Formula, system: EquationSystem):
+    """(codes, model, solution) chunks of the quarter-grid rows that are a
+    model or a solution, in grid order.
+
+    The formula side is tested conjunct by conjunct and the equation side
+    equation by equation, each grouped by its own variables; a partial row
+    is dropped only once both sides have failed on it, so every row on
+    which the two disagree comes out.
+    """
+    order = system.universe
+    formulas = _by_level(order, _conjuncts(formula), variables)
+    equations = _by_level(order, system.equations, _equation_variables)
+
+    def check(codes, step):
+        fs = [f for k in step for f in formulas[k]]
+        eqs = [eq for k in step for eq in equations[k]]
+        if not fs and not eqs:
+            return None
+        positions = list(enumerate(order[:codes.shape[1]]))
+        return np.column_stack(_quarter_verdicts(fs, eqs, system.logic, positions, codes))
+
+    for codes, alive in _frontier(len(order), 5, 2, check):
+        yield codes, alive[:, 0], alive[:, 1]
+
+
+def _draw_codes(rng: random.Random, count: int) -> np.ndarray:
+    """``[rng.randrange(5) for _ in range(count)]`` as an int8 array, leaving
+    ``rng`` in the same state as that list would.
+
+    CPython's ``randrange(5)`` takes the top 3 bits of one 32-bit
+    Mersenne Twister output and draws again while they read 5 or more.
+    Here the outputs are drawn in bulk with ``getrandbits``, whose first
+    output is the least significant word; the generator is then rewound
+    and advanced by exactly the outputs the accepted values used.
+    """
+    if not count:
+        return np.zeros(0, dtype=np.int8)
+    state = rng.getstate()
+    batches, accepted = [], 0
+    while accepted < count:
+        words = -(-(count - accepted) * 8 // 5)
+        raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+        top = (np.frombuffer(raw, dtype="<u4") >> 29).astype(np.int8)
+        batches.append(top)
+        accepted += int(np.count_nonzero(top < 5))
+    top = np.concatenate(batches)
+    kept = np.flatnonzero(top < 5)[:count]
+    rng.setstate(state)
+    rng.getrandbits(32 * (int(kept[-1]) + 1))
+    return top[kept]
+
+
+def _sampled_verdicts(formula: Formula, system: EquationSystem, rng: random.Random,
+                      rows: int):
+    """(codes, model, solution) chunks of ``rows`` quarter-grid rows drawn
+    point-major from ``rng``."""
+    positions = list(enumerate(system.universe))
+    n = len(positions)
+    for start in range(0, rows, _EQ_CHUNK_ROWS):
+        count = min(_EQ_CHUNK_ROWS, rows - start)
+        codes = _draw_codes(rng, count * n).reshape(count, n)
+        yield (codes, *_quarter_verdicts(_conjuncts(formula), system.equations, system.logic,
+                                         positions, codes))
 
 
 def _check_equation_equivalence(theorem_id: str, h: HAFS, logic: LogicSystem,
@@ -366,26 +536,16 @@ def _check_equation_equivalence(theorem_id: str, h: HAFS, logic: LogicSystem,
     formula = encode_normal(h)
     evaluator = compile_evaluator(formula, logic)
     order = h.universe
-    n = len(order)
 
-    total = 5 ** n
-    exhaustive = total <= grid_cap
+    exhaustive = 5 ** len(order) <= grid_cap
     rng = random.Random(seed)
     notes = {"grid": "exhaustive" if exhaustive else f"sampled({grid_cap})",
              "float_samples": float_samples}
 
-    rows = total if exhaustive else grid_cap
-    for start in range(0, rows, _EQ_CHUNK_ROWS):
-        stop = min(start + _EQ_CHUNK_ROWS, rows)
-        if exhaustive:
-            codes = grid_codes(n, 5, start, stop)
-        else:  # point-major draws; the float samples continue from this rng state
-            codes = np.array([rng.randrange(5) for _ in range((stop - start) * n)],
-                             dtype=np.int64).reshape(stop - start, n)
-        try:
-            model, solution = _grid_verdicts(formula, system, codes, np.int64)
-        except _TooWide:
-            model, solution = _grid_verdicts(formula, system, codes, object)
+    # the float samples continue from the rng state the sampled grid leaves
+    chunks = (_exhaustive_verdicts(formula, system) if exhaustive
+              else _sampled_verdicts(formula, system, rng, grid_cap))
+    for codes, model, solution in chunks:
         disagree = np.flatnonzero(model != solution)
         if disagree.size:
             row = disagree[0]

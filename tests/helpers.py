@@ -1,9 +1,11 @@
 """Shared corpus builders and independent oracles for the test suite.
 
 The oracles deliberately avoid the production code paths they check:
-labelling enumeration is re-done by unpruned filtering, defeat pairs by a
-least-fixpoint recursion, equation right-hand sides by the closed forms,
-and support acyclicity by Kahn's algorithm.
+labelling enumeration is re-done by unpruned filtering, the three-valued
+models and the EQ_* grid verdicts by unpruned scalar sweeps through
+``evaluate`` and ``is_exact_solution``, defeat pairs by a least-fixpoint
+recursion, equation right-hand sides by the closed forms, and support
+acyclicity by Kahn's algorithm.
 """
 
 from __future__ import annotations
@@ -12,8 +14,10 @@ import itertools
 import random
 from fractions import Fraction
 
-from hafs import (HAFS, InfeasibleParametersError, Labelling3, generate_random,
-                  is_adjacent_complete)
+from hafs import (HAFS, L3, InfeasibleParametersError, Labelling3, LogicSystem,
+                  build_equations, encode_normal, evaluate, framework_digest,
+                  generate_random, is_adjacent_complete, serialize)
+from hafs.bridge import FLOAT_RESIDUAL_TOL
 from hafs.labellings import THREE_VALUES
 
 
@@ -53,6 +57,65 @@ def brute_force_labellings(h: HAFS) -> set[Labelling3]:
         if is_adjacent_complete(h, candidate):
             found.add(candidate)
     return found
+
+
+def pl3_models(h: HAFS) -> tuple[Labelling3, ...]:
+    """Unpruned 3^|U| sweep: every assignment on which the encoded formula
+    is 1 under L3, in grid order."""
+    formula = encode_normal(h)
+    models = []
+    for combo in itertools.product(THREE_VALUES, repeat=len(h)):
+        point = dict(zip(h.universe, combo))
+        if evaluate(formula, point, L3) == 1:
+            models.append(Labelling3(point))
+    return tuple(models)
+
+
+def equation_equivalence_report(theorem_id: str, h: HAFS, logic: LogicSystem,
+                                grid_cap: int = 100_000, float_samples: int = 200,
+                                seed: int = 0, flipped=frozenset()) -> dict:
+    """The EQ_* report ``verify`` should give, from an unpruned scalar sweep.
+
+    Rows are the whole quarter grid in order when it has at most
+    ``grid_cap`` rows, else ``grid_cap`` rows of ``randrange(5)`` codes
+    drawn point-major; the float samples continue from that generator.
+    The solution verdict of the code tuples in ``flipped`` is inverted.
+    """
+    formula = encode_normal(h)
+    system = build_equations(h, logic)
+    order = h.universe
+    rng = random.Random(seed)
+    exhaustive = 5 ** len(order) <= grid_cap
+    rows = (itertools.product(range(5), repeat=len(order)) if exhaustive else
+            (tuple(rng.randrange(5) for _ in order) for _ in range(grid_cap)))
+
+    def report(passed, counterexample=None, notes=None):
+        return {"theorem": theorem_id, "framework_digest": framework_digest(h),
+                "passed": passed, "counterexample": counterexample, "notes": notes or {}}
+
+    for codes in rows:
+        point = {e: Fraction(k, 4) for e, k in zip(order, codes)}
+        model = evaluate(formula, point, logic) == 1
+        solution = system.is_exact_solution(point) != (codes in flipped)
+        if model != solution:
+            return report(False, {
+                "framework": serialize(h),
+                "explanation": f"exact grid point is {'a model' if model else 'not a model'} "
+                               f"but {'a solution' if solution else 'not a solution'}",
+                "assignment": {e.qualified: str(v) for e, v in point.items()},
+            })
+    for _ in range(float_samples):
+        point = {e: rng.random() for e in order}
+        model = evaluate(formula, point, logic) == 1.0
+        if model != (system.residual(point) <= FLOAT_RESIDUAL_TOL):
+            return report(False, {
+                "framework": serialize(h),
+                "explanation": "float assignment verdicts disagree between the encoded "
+                               "formula and the equation residual",
+                "assignment": {e.qualified: float(f"{v:.12g}") for e, v in point.items()},
+            })
+    return report(True, notes={"grid": "exhaustive" if exhaustive else f"sampled({grid_cap})",
+                               "float_samples": float_samples})
 
 
 def lfp_defeat_pairs(h: HAFS, B: frozenset) -> set[tuple]:

@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -7,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import hafs
-from hafs import (Assignment, GODEL, L3, LUKASIEWICZ, PRODUCT, PreconditionError,
+from hafs import (Assignment, GODEL, LUKASIEWICZ, PRODUCT, PreconditionError,
                   THEOREM_IDS, ValidationError, argument, build_equations, embed,
                   encode_normal, enumerate_pl3_models, evaluate, framework_digest,
                   is_model, support_id, ternarize, verify)
@@ -15,7 +14,7 @@ from hafs import bridge
 from hafs.bridge import VerificationReport
 from hafs.labellings import HALF, ONE, THREE_VALUES, ZERO, grid_codes
 
-from helpers import corpus
+from helpers import corpus, equation_equivalence_report, pl3_models
 
 A, B = argument("a"), argument("b")
 T1 = support_id("t1")
@@ -58,18 +57,29 @@ class TestTernarize:
 
 class TestPl3ModelEnumeration:
     def test_matches_scalar_is_model(self):
-        for h, _ in corpus(30, max_u=5, seed_base=12_000):
-            scalar = {
-                hafs.Labelling3(dict(zip(h.universe, combo)))
-                for combo in itertools.product(THREE_VALUES, repeat=len(h))
-                if is_model(h, Assignment(dict(zip(h.universe, combo))), L3)
-            }
-            assert set(enumerate_pl3_models(h)) == scalar, hafs.serialize(h)
+        # the unpruned scalar sweep, in the same order
+        for h, _ in corpus(30, max_u=6, seed_base=12_000):
+            assert enumerate_pl3_models(h) == pl3_models(h), hafs.serialize(h)
 
     def test_example3_models_are_the_labellings(self, example3):
         models = enumerate_pl3_models(example3)
         assert len(models) == 3
         assert set(models) == set(hafs.enumerate_adjacent_complete(example3))
+
+    @given(nargs=st.integers(1, 3), natts=st.integers(0, 2), nsupps=st.integers(0, 1),
+           seed=st.integers(0, 10_000), acyclic=st.booleans(),
+           hop=st.sampled_from([0.0, 0.3, 0.6]))
+    def test_matches_unpruned_sweep_on_generated(self, nargs, natts, nsupps, seed,
+                                                 acyclic, hop):
+        try:
+            h = hafs.generate_random(nargs, natts, nsupps, seed=seed,
+                                     support_acyclic=acyclic, higher_order_prob=hop)
+        except hafs.InfeasibleParametersError:
+            return
+        assert enumerate_pl3_models(h) == pl3_models(h), hafs.serialize(h)
+
+    def test_empty_framework_has_one_model(self):
+        assert enumerate_pl3_models(hafs.parse("")) == (hafs.Labelling3({}),)
 
 
 class TestVerifyExamples:
@@ -172,10 +182,10 @@ class TestExactGrid:
             formula = encode_normal(h)
             system = build_equations(h, logic)
             codes = grid_codes(len(h), 5, 0, 5 ** len(h))
-            columns = bridge._quarter_columns(h.universe, codes, dtype)
+            columns = bridge._quarter_columns(enumerate(h.universe), codes, dtype)
             one = np.ones(len(codes), dtype=dtype)
             num, den = bridge._eval_grid_exact(formula, columns, one, logic)
-            mask = bridge._solution_mask(system, columns, one)
+            mask = bridge._solution_mask(system.equations, logic, columns, one)
             for row, ks in enumerate(codes):
                 point = {e: Fraction(int(k), 4) for e, k in zip(h.universe, ks)}
                 value = Fraction(int(num[row]), int(den[row]))
@@ -183,15 +193,22 @@ class TestExactGrid:
                 assert bool(mask[row]) == system.is_exact_solution(point), \
                     (hafs.serialize(h), point)
 
+    def test_reduced_passes_empty_chunks(self):
+        for dtype in (np.int64, object):
+            num, den = bridge._reduced(np.zeros(0, dtype=dtype), np.zeros(0, dtype=dtype))
+            assert num.shape == den.shape == (0,) and den.dtype == dtype
+
     def test_wide_product_chunks_use_python_ints(self, monkeypatch):
-        h = hafs.generate_random(6, 5, 5, seed=1, higher_order_prob=0.3)
-        assert len(h) >= 16
+        # the Product fold over ten attacks on one argument has denominators
+        # up to 16^10, past the int64-safe 2^31
+        text = " ".join(f"arg(b{i}). att(r{i},b{i},a)." for i in range(10))
+        h = hafs.parse("arg(a). " + text)
         dtypes = []
         verdicts = bridge._grid_verdicts
 
-        def spy(formula, system, codes, dtype):
-            dtypes.append(dtype)
-            return verdicts(formula, system, codes, dtype)
+        def spy(*args):
+            dtypes.append(args[-1])
+            return verdicts(*args)
 
         monkeypatch.setattr(bridge, "_grid_verdicts", spy)
         report = verify(h, "EQ_P", grid_cap=2000)
@@ -200,15 +217,20 @@ class TestExactGrid:
         assert dtypes == [np.int64, object]
 
     @staticmethod
-    def _flip_solution_rows(monkeypatch, rows):
-        mask_of = bridge._solution_mask
+    def _flip_solution_rows(monkeypatch, h, points):
+        """Invert the solution verdict on the grid rows with code tuples
+        ``points``.  Pruned sweeps complete only rows on which a side still
+        holds, so the points should be such rows."""
+        verdicts = bridge._quarter_verdicts
+        targets = np.array(points, dtype=np.int8)
 
-        def flipped(system, columns, one):
-            mask = mask_of(system, columns, one)
-            mask[rows] = ~mask[rows]
-            return mask
+        def flipped(formulas, equations, logic, positions, codes):
+            model, solution = verdicts(formulas, equations, logic, positions, codes)
+            if codes.shape[1] == len(h):
+                solution = solution ^ (codes[:, None, :] == targets).all(axis=2).any(axis=1)
+            return model, solution
 
-        monkeypatch.setattr(bridge, "_solution_mask", flipped)
+        monkeypatch.setattr(bridge, "_quarter_verdicts", flipped)
 
     @staticmethod
     def _expected_explanation(h, point):
@@ -217,30 +239,99 @@ class TestExactGrid:
         return "exact grid point is not a model but a solution"
 
     def test_disagreement_names_first_exhaustive_row(self, monkeypatch, f3):
-        self._flip_solution_rows(monkeypatch, [7, 12])
+        # codes over (a, b, r1), rows 107 and 112; a = 1 as its equation
+        # demands, so the pruned sweep completes them
+        self._flip_solution_rows(monkeypatch, f3, [(4, 1, 2), (4, 2, 2)])
         report = verify(f3, "EQ_P", float_samples=0)
         assert not report.passed
-        # row 7 in base 5 over (a, b, r1) is (0, 1, 2)
-        point = {argument("a"): Fraction(0), argument("b"): Fraction(1, 4),
+        point = {argument("a"): Fraction(1), argument("b"): Fraction(1, 4),
                  hafs.attack_id("r1"): Fraction(1, 2)}
         assert report.counterexample == {
             "framework": hafs.serialize(f3),
             "explanation": self._expected_explanation(f3, point),
-            "assignment": {"arg:a": "0", "arg:b": "1/4", "att:r1": "1/2"},
+            "assignment": {"arg:a": "1", "arg:b": "1/4", "att:r1": "1/2"},
         }
 
     def test_disagreement_names_first_sampled_row(self, monkeypatch, f3):
-        self._flip_solution_rows(monkeypatch, [3, 6])
+        rng = random.Random(5)
+        draws = [tuple(rng.randrange(5) for _ in f3.universe) for _ in range(10)]
+        self._flip_solution_rows(monkeypatch, f3, [draws[3], draws[6]])
         report = verify(f3, "EQ_P", grid_cap=10, float_samples=0, seed=5)
         assert not report.passed
-        rng = random.Random(5)
-        draws = [[rng.randrange(5) for _ in f3.universe] for _ in range(4)]
-        point = {e: Fraction(k, 4) for e, k in zip(f3.universe, draws[3])}
+        first = next(d for d in draws if d in (draws[3], draws[6]))
+        point = {e: Fraction(k, 4) for e, k in zip(f3.universe, first)}
         assert report.counterexample == {
             "framework": hafs.serialize(f3),
             "explanation": self._expected_explanation(f3, point),
             "assignment": {e.qualified: str(v) for e, v in point.items()},
         }
+
+
+class TestEquationOracle:
+    """EQ_* reports against the unpruned scalar sweep of ``tests/helpers.py``."""
+
+    LOGICS = {"EQ_G": GODEL, "EQ_P": PRODUCT, "EQ_L": LUKASIEWICZ}
+
+    @pytest.mark.parametrize("theorem_id", ["EQ_G", "EQ_P", "EQ_L"])
+    def test_exhaustive_grid(self, theorem_id):
+        for h, _ in corpus(12, max_u=4, seed_base=16_000):
+            expected = equation_equivalence_report(theorem_id, h, self.LOGICS[theorem_id],
+                                                   float_samples=20, seed=3)
+            report = verify(h, theorem_id, float_samples=20, seed=3)
+            assert report.to_json_obj() == expected, hafs.serialize(h)
+
+    @pytest.mark.parametrize("theorem_id", ["EQ_G", "EQ_P", "EQ_L"])
+    def test_sampled_grid(self, theorem_id):
+        for i, (h, _) in enumerate(corpus(12, max_u=7, seed_base=16_100)):
+            if 5 ** len(h) <= 150:
+                continue
+            expected = equation_equivalence_report(theorem_id, h, self.LOGICS[theorem_id],
+                                                   grid_cap=150, float_samples=20, seed=i)
+            report = verify(h, theorem_id, grid_cap=150, float_samples=20, seed=i)
+            assert report.to_json_obj() == expected, hafs.serialize(h)
+
+    @pytest.mark.parametrize("theorem_id", ["EQ_G", "EQ_P", "EQ_L"])
+    def test_first_flipped_row(self, monkeypatch, theorem_id):
+        logic = self.LOGICS[theorem_id]
+        for i, (h, _) in enumerate(corpus(8, max_u=5, seed_base=16_200)):
+            # models are completed by the pruned sweep; the last two flip first
+            models = [tuple(THREE_VALUES.index(v) * 2 for v in m.values())
+                      for m in pl3_models(h)]
+            rng = random.Random(i)
+            sampled = [tuple(rng.randrange(5) for _ in h.universe) for _ in range(40)]
+            for grid_cap, points in ((5 ** len(h), models[-2:]), (40, sampled[7:9])):
+                expected = equation_equivalence_report(theorem_id, h, logic, grid_cap=grid_cap,
+                                                       float_samples=0, seed=i,
+                                                       flipped=frozenset(points))
+                with monkeypatch.context() as patch:
+                    TestExactGrid._flip_solution_rows(patch, h, points)
+                    report = verify(h, theorem_id, grid_cap=grid_cap, float_samples=0, seed=i)
+                assert not report.passed
+                assert report.to_json_obj() == expected, (hafs.serialize(h), grid_cap)
+
+
+class TestDrawCodes:
+    """The bulk draw against the ``randrange`` loop it replaces."""
+
+    class _Counting(random.Random):
+        def getrandbits(self, k):
+            self.calls.append(k)
+            return super().getrandbits(k)
+
+    @pytest.mark.parametrize("seed, count", [
+        (0, 0), (7, 1), (123, bridge._EQ_CHUNK_ROWS * 8), (1, 1000)])
+    def test_matches_randrange_and_end_state(self, seed, count):
+        reference = random.Random(seed)
+        expected = [reference.randrange(5) for _ in range(count)]
+        bulk = self._Counting(seed)
+        bulk.calls = []
+        codes = bridge._draw_codes(bulk, count)
+        assert codes.tolist() == expected
+        assert bulk.getstate() == reference.getstate()
+        assert bulk.random() == reference.random()
+        if (seed, count) == (1, 1000):
+            # two drawing batches, then the rewound generator's advance
+            assert len(bulk.calls) == 3
 
 
 class TestReports:
