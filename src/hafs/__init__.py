@@ -11,8 +11,7 @@ that those views of the same framework agree where they should.
 from .bridge import (THEOREM_IDS, VerificationReport, embed, enumerate_pl3_models,
                      framework_digest, ternarize, verify)
 from .equations import (EquationSystem, SolveReport, build_equations,
-                        enumerate_ternary_solutions, h_function, residual,
-                        solve_fixed_point)
+                        enumerate_ternary_solutions, h_function, solve_fixed_point)
 from .errors import (EvaluationError, HafsError, InfeasibleParametersError,
                      ParseError, PreconditionError, SizeBoundError, ValidationError)
 from .extensions import (ElementSet, SetFlags, classify_set, dfd, dft, directly_defeats,

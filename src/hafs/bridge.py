@@ -24,10 +24,9 @@ from .framework import HAFS, is_support_acyclic, serialize
 from .labellings import HALF, ONE, THREE_VALUES, ZERO, Labelling3, \
     enumerate_adjacent_complete, grid_codes, is_adjacent_complete
 from .limits import DEFAULT_LABELLING_BOUND, universe_bound
-from .logic import And, Assignment, Bottom, Formula, GODEL, Iff, Implies, LogicSystem, \
-    LUKASIEWICZ, Not, Or, PRODUCT, Top, Var, _impl_godel, _impl_lukasiewicz, \
-    _impl_product, _tnorm_lukasiewicz, _tnorm_min, _tnorm_product, \
-    compile_evaluator, encode_normal, get_logic, variables
+from .logic import And, Assignment, Formula, GODEL, L3, LogicSystem, LUKASIEWICZ, PRODUCT, \
+    _Ops, _fold, _impl_godel, _impl_lukasiewicz, _impl_product, _tnorm_lukasiewicz, \
+    _tnorm_min, _tnorm_product, compile_evaluator, encode_normal, get_logic, variables
 
 FLOAT_TERNARIZE_TOL = 1e-6
 FLOAT_RESIDUAL_TOL = 1e-12
@@ -144,34 +143,7 @@ def _frontier(width: int, base: int, sides: int, check):
 
 # -- three-valued model enumeration ------------------------------------------
 
-_IMP3 = np.array([[2, 2, 2], [1, 2, 2], [0, 1, 2]], dtype=np.int8)
-_IFF3 = np.array([[2, 1, 0], [1, 2, 1], [0, 1, 2]], dtype=np.int8)
-
-
-def _eval_grid3(f: Formula, columns, rows: int) -> np.ndarray:
-    if isinstance(f, Var):
-        return columns[f.element]
-    if isinstance(f, Top):
-        return np.full(rows, 2, dtype=np.int8)
-    if isinstance(f, Bottom):
-        return np.zeros(rows, dtype=np.int8)
-    if isinstance(f, Not):
-        return (2 - _eval_grid3(f.child, columns, rows)).astype(np.int8)
-    if isinstance(f, And):
-        acc = np.full(rows, 2, dtype=np.int8)
-        for child in f.children:
-            acc = np.minimum(acc, _eval_grid3(child, columns, rows))
-        return acc
-    if isinstance(f, Or):
-        acc = np.zeros(rows, dtype=np.int8)
-        for child in f.children:
-            acc = np.maximum(acc, _eval_grid3(child, columns, rows))
-        return acc
-    if isinstance(f, Implies):
-        return _IMP3[_eval_grid3(f.lhs, columns, rows), _eval_grid3(f.rhs, columns, rows)]
-    if isinstance(f, Iff):
-        return _IFF3[_eval_grid3(f.lhs, columns, rows), _eval_grid3(f.rhs, columns, rows)]
-    raise ValidationError(f"unknown formula node {type(f).__name__}")
+_THREE_FLOATS = np.array([float(v) for v in THREE_VALUES])
 
 
 def enumerate_pl3_models(h: HAFS, bound: int | None = None) -> tuple[Labelling3, ...]:
@@ -180,10 +152,11 @@ def enumerate_pl3_models(h: HAFS, bound: int | None = None) -> tuple[Labelling3,
     Frontier sweep over the 3^|U| grid: elements are assigned in universe
     order, and a partial assignment is dropped as soon as a conjunct of
     the formula whose variables are all assigned is not 1 under the
-    three-valued connective tables.  Models come out in the order of the
-    full grid.  Only the formula is read, never the labelling conditions,
-    so set comparisons with the labelling enumeration are a real
-    cross-check.
+    three-valued connectives, evaluated by :func:`compile_evaluator` on
+    the floats 0, 0.5 and 1, on which every L3 operation is exact.
+    Models come out in the order of the full grid.  Only the formula is
+    read, never the labelling conditions, so set comparisons with the
+    labelling enumeration are a real cross-check.
     """
     limit = bound if bound is not None else universe_bound(DEFAULT_LABELLING_BOUND)
     order = h.universe
@@ -191,16 +164,18 @@ def enumerate_pl3_models(h: HAFS, bound: int | None = None) -> tuple[Labelling3,
     if n > limit:
         raise SizeBoundError(f"universe has {n} elements, bound is {limit}")
 
-    levels = _by_level(order, _conjuncts(encode_normal(h)), variables)
+    levels = [[compile_evaluator(c, L3) for c in level]
+              for level in _by_level(order, _conjuncts(encode_normal(h)), variables)]
 
     def check(codes, step):
         conjuncts = [c for k in step for c in levels[k]]
         if not conjuncts:
             return None
-        columns = {e: codes[:, j] for j, e in enumerate(order[:codes.shape[1]])}
+        values = _THREE_FLOATS[codes]
+        columns = {e: values[:, j] for j, e in enumerate(order[:codes.shape[1]])}
         holds = np.ones(len(codes), dtype=bool)
         for conjunct in conjuncts:
-            holds &= _eval_grid3(conjunct, columns, len(codes)) == 2
+            holds &= conjunct(columns) == 1.0
         return holds[:, None]
 
     models: list[Labelling3] = []
@@ -396,29 +371,11 @@ def _quarter_columns(positions, codes: np.ndarray, dtype) -> dict:
     return {e: (num[codes[:, j]], den[codes[:, j]]) for j, e in positions}
 
 
-def _eval_grid_exact(f: Formula, columns: dict, one: np.ndarray, logic: LogicSystem):
-    """Exact value of ``f`` on every row of a chunk, as (numerator, denominator)."""
-    if isinstance(f, Var):
-        return columns[f.element]
-    if isinstance(f, Top):
-        return one, one
-    if isinstance(f, Bottom):
-        return np.zeros_like(one), one
-    if isinstance(f, Not):
-        return _neg_q(_eval_grid_exact(f.child, columns, one, logic))
-    if isinstance(f, And):
-        return _fold_q(_TNORMS_Q[logic.tnorm],
-                       (_eval_grid_exact(c, columns, one, logic) for c in f.children), one)
-    if isinstance(f, Implies):
-        return _IMPLICATIONS_Q[logic.implication](
-            _eval_grid_exact(f.lhs, columns, one, logic),
-            _eval_grid_exact(f.rhs, columns, one, logic))
-    if isinstance(f, Iff):
-        impl = _IMPLICATIONS_Q[logic.implication]
-        m = _eval_grid_exact(f.lhs, columns, one, logic)
-        n = _eval_grid_exact(f.rhs, columns, one, logic)
-        return _TNORMS_Q[logic.tnorm](impl(m, n), impl(n, m))
-    raise ValidationError(f"unknown formula node {type(f).__name__}")
+def _exact_ops(logic: LogicSystem, one: np.ndarray) -> _Ops:
+    """The exact (numerator, denominator) connectives of a fuzzy ``logic``
+    on chunks of ``len(one)`` rows; disjunction is not interpreted."""
+    return _Ops(logic.name, (one, one), (np.zeros_like(one), one), _neg_q,
+                _TNORMS_Q[logic.tnorm], None, _IMPLICATIONS_Q[logic.implication])
 
 
 def _solution_mask(equations, logic: LogicSystem, columns: dict,
@@ -443,9 +400,10 @@ def _grid_verdicts(formulas, equations, logic: LogicSystem, positions,
     every formula is 1, and whether every equation holds."""
     columns = _quarter_columns(positions, codes, dtype)
     one = np.ones(len(codes), dtype=dtype)
+    ops = _exact_ops(logic, one)
     model = np.ones(len(codes), dtype=bool)
     for f in formulas:
-        num, den = _eval_grid_exact(f, columns, one, logic)
+        num, den = _fold(f, columns.__getitem__, ops)
         model &= num == den
     return model, _solution_mask(equations, logic, columns, one)
 
@@ -557,9 +515,12 @@ def _check_equation_equivalence(theorem_id: str, h: HAFS, logic: LogicSystem,
                             for e, k in zip(order, codes[row])},
             ))
 
-    for _ in range(float_samples):
-        point = {e: rng.random() for e in order}
-        model = evaluator(point) == 1.0
+    # drawn point-major, as a per-point loop would; the formula side in one pass
+    draws = np.array([rng.random() for _ in range(float_samples * len(order))])
+    draws = draws.reshape(float_samples, len(order))
+    models = evaluator({e: draws[:, j] for j, e in enumerate(order)}) == 1.0
+    for row, model in zip(draws.tolist(), np.broadcast_to(models, float_samples).tolist()):
+        point = dict(zip(order, row))
         near_solution = system.residual(point) <= FLOAT_RESIDUAL_TOL
         if model != near_solution:
             return VerificationReport(theorem_id, digest, False, _counterexample(

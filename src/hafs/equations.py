@@ -101,10 +101,6 @@ def build_equations(h: HAFS, logic: LogicSystem) -> EquationSystem:
     return EquationSystem(h, logic)
 
 
-def residual(system: EquationSystem, values: Mapping) -> object:
-    return system.residual(values)
-
-
 # -- fixed-point search -------------------------------------------------------
 
 

@@ -14,7 +14,9 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 from .errors import EvaluationError, ValidationError
 from .framework import HAFS, ElementId
@@ -247,6 +249,11 @@ class Assignment(Mapping):
 
 
 # -- evaluation --------------------------------------------------------------
+#
+# Every reading of a formula is one fold over its AST with the connectives of
+# a value domain: scalars with checked leaves (evaluate), float64 arrays
+# (compile_evaluator) and, in the bridge, exact (numerator, denominator)
+# integer arrays.
 
 THREE_VALUES = (Fraction(0), Fraction(1, 2), Fraction(1))
 
@@ -266,112 +273,109 @@ def _lookup(assignment: Mapping, element: ElementId, logic: LogicSystem):
     return value
 
 
+class _Ops(NamedTuple):
+    """The connectives of one value domain, for :func:`_fold`."""
+
+    logic: str  # named when a disjunction is not interpreted
+    one: object
+    zero: object
+    neg: Callable
+    tnorm: Callable
+    join: Callable | None  # None outside the three-valued logic
+    impl: Callable
+
+
+def _fold(f: Formula, leaf: Callable, ops: _Ops):
+    """Value of ``f`` with ``leaf(element)`` at each variable and ``ops`` at
+    the connectives.
+
+    Conjunction folds the t-norm from ``one`` over every child, with no
+    short-circuit, and disjunction the join from ``zero``; the
+    biconditional is the t-norm of the two implications.
+    """
+    if isinstance(f, Var):
+        return leaf(f.element)
+    if isinstance(f, Not):
+        return ops.neg(_fold(f.child, leaf, ops))
+    if isinstance(f, And):
+        acc = ops.one
+        for child in f.children:
+            acc = ops.tnorm(acc, _fold(child, leaf, ops))
+        return acc
+    if isinstance(f, Iff):
+        m, n = _fold(f.lhs, leaf, ops), _fold(f.rhs, leaf, ops)
+        return ops.tnorm(ops.impl(m, n), ops.impl(n, m))
+    if isinstance(f, Implies):
+        return ops.impl(_fold(f.lhs, leaf, ops), _fold(f.rhs, leaf, ops))
+    if isinstance(f, Top):
+        return ops.one
+    if isinstance(f, Bottom):
+        return ops.zero
+    if isinstance(f, Or):
+        if ops.join is None:
+            raise EvaluationError(f"disjunction is not interpreted in the {ops.logic} logic")
+        acc = ops.zero
+        for child in f.children:
+            acc = ops.join(acc, _fold(child, leaf, ops))
+        return acc
+    raise EvaluationError(f"unknown formula node {type(f).__name__}")
+
+
 def evaluate(f: Formula, assignment: Mapping, logic: LogicSystem):
     """Truth value of ``f`` under ``assignment`` in ``logic``.
 
     Conjunction folds the t-norm (the empty conjunction is 1), negation
     and implication apply the logic's operators, and the biconditional is
     the conjunction of the two implications.  Disjunction exists only in
-    the three-valued system, where it is max.
+    the three-valued system, where it is max.  Every leaf is checked, with
+    no short-circuit: an unassigned variable or a value outside the
+    logic's domain raises :class:`EvaluationError` wherever it occurs.
     """
-    if isinstance(f, Var):
-        return _lookup(assignment, f.element, logic)
-    if isinstance(f, Top):
-        return 1
-    if isinstance(f, Bottom):
-        return 0
-    if isinstance(f, Not):
-        return logic.negation(evaluate(f.child, assignment, logic))
-    if isinstance(f, And):
-        acc = 1
-        for child in f.children:
-            # any t-norm sends 0 with anything to 0
-            if acc == 0:
-                return acc
-            acc = logic.tnorm(acc, evaluate(child, assignment, logic))
-        return acc
-    if isinstance(f, Or):
-        if logic.value_domain != "three_valued":
-            raise EvaluationError(
-                f"disjunction is not interpreted in the {logic.name} logic"
-            )
-        acc = 0
-        for child in f.children:
-            value = evaluate(child, assignment, logic)
-            acc = value if value > acc else acc
-        return acc
-    if isinstance(f, Implies):
-        return logic.implication(
-            evaluate(f.lhs, assignment, logic), evaluate(f.rhs, assignment, logic)
-        )
-    if isinstance(f, Iff):
-        m = evaluate(f.lhs, assignment, logic)
-        n = evaluate(f.rhs, assignment, logic)
-        return logic.tnorm(logic.implication(m, n), logic.implication(n, m))
-    raise EvaluationError(f"unknown formula node {type(f).__name__}")
+    join = max if logic.value_domain == "three_valued" else None
+    ops = _Ops(logic.name, 1, 0, logic.negation, logic.tnorm, join, logic.implication)
+    return _fold(f, lambda element: _lookup(assignment, element, logic), ops)
+
+
+def _tnorm_lukasiewicz_f(x, y):
+    return np.maximum(x + y - 1, 0.0)
+
+
+def _impl_godel_f(m, n):
+    return np.where(m <= n, 1.0, n)
+
+
+def _impl_product_f(m, n):
+    le = m <= n  # where it fails, m > n >= 0; elsewhere divide by 1, never by 0
+    return np.where(le, 1.0, n / np.where(le, 1.0, m))
+
+
+def _impl_lukasiewicz_f(m, n):
+    return np.minimum(1 - m + n, 1.0)
+
+
+# numpy versions of the built-in operators, equal to them value for value
+# under ``==``; every built-in negation is 1 - x, which numpy computes as is
+_TNORMS_F = {_tnorm_min: np.minimum, _tnorm_product: np.multiply,
+             _tnorm_lukasiewicz: _tnorm_lukasiewicz_f}
+_IMPLICATIONS_F = {_impl_godel: _impl_godel_f, _impl_product: _impl_product_f,
+                   _impl_lukasiewicz: _impl_lukasiewicz_f}
 
 
 def compile_evaluator(f: Formula, logic: LogicSystem) -> Callable[[Mapping], object]:
-    """Compile ``f`` into a closure tree for repeated evaluation.
+    """Evaluator of ``f`` over many points in one call.
 
-    Skips per-lookup domain checks, so callers must feed in-domain
-    values; agreement with :func:`evaluate` is covered by tests.
+    The returned function takes a mapping from each variable's element to
+    a float, or to a float64 array with one value per point, and returns
+    the value of ``f`` at every point, equal under ``==`` to
+    :func:`evaluate` at each.  A formula without variables gives a
+    scalar, which the caller broadcasts.  Values are not checked, so
+    callers must feed in-domain floats.  Operators other than the
+    built-ins are applied as they are.
     """
-    neg, tnorm, impl = logic.negation, logic.tnorm, logic.implication
-
-    def build(node: Formula) -> Callable[[Mapping], object]:
-        if isinstance(node, Var):
-            key = node.element
-            return lambda env: env[key]
-        if isinstance(node, Top):
-            return lambda env: 1
-        if isinstance(node, Bottom):
-            return lambda env: 0
-        if isinstance(node, Not):
-            inner = build(node.child)
-            return lambda env: neg(inner(env))
-        if isinstance(node, And):
-            parts = tuple(build(c) for c in node.children)
-
-            def run_and(env, parts=parts):
-                acc = 1
-                for p in parts:
-                    if acc == 0:
-                        return acc
-                    acc = tnorm(acc, p(env))
-                return acc
-
-            return run_and
-        if isinstance(node, Or):
-            if logic.value_domain != "three_valued":
-                raise EvaluationError(
-                    f"disjunction is not interpreted in the {logic.name} logic"
-                )
-            parts = tuple(build(c) for c in node.children)
-
-            def run_or(env, parts=parts):
-                acc = 0
-                for p in parts:
-                    value = p(env)
-                    acc = value if value > acc else acc
-                return acc
-
-            return run_or
-        if isinstance(node, Implies):
-            left, right = build(node.lhs), build(node.rhs)
-            return lambda env: impl(left(env), right(env))
-        if isinstance(node, Iff):
-            left, right = build(node.lhs), build(node.rhs)
-
-            def run_iff(env):
-                m = left(env)
-                n = right(env)
-                return tnorm(impl(m, n), impl(n, m))
-
-            return run_iff
-        raise EvaluationError(f"unknown formula node {type(node).__name__}")
-
-    return build(f)
+    join = np.maximum if logic.value_domain == "three_valued" else None
+    ops = _Ops(logic.name, 1.0, 0.0, logic.negation, _TNORMS_F.get(logic.tnorm, logic.tnorm),
+               join, _IMPLICATIONS_F.get(logic.implication, logic.implication))
+    return lambda columns: _fold(f, columns.__getitem__, ops)
 
 
 # -- encoding ----------------------------------------------------------------

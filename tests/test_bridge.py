@@ -13,6 +13,7 @@ from hafs import (Assignment, GODEL, LUKASIEWICZ, PRODUCT, PreconditionError,
 from hafs import bridge
 from hafs.bridge import VerificationReport
 from hafs.labellings import HALF, ONE, THREE_VALUES, ZERO, grid_codes
+from hafs.logic import _fold
 
 from helpers import corpus, equation_equivalence_report, pl3_models
 
@@ -184,7 +185,7 @@ class TestExactGrid:
             codes = grid_codes(len(h), 5, 0, 5 ** len(h))
             columns = bridge._quarter_columns(enumerate(h.universe), codes, dtype)
             one = np.ones(len(codes), dtype=dtype)
-            num, den = bridge._eval_grid_exact(formula, columns, one, logic)
+            num, den = _fold(formula, columns.__getitem__, bridge._exact_ops(logic, one))
             mask = bridge._solution_mask(system.equations, logic, columns, one)
             for row, ks in enumerate(codes):
                 point = {e: Fraction(int(k), 4) for e, k in zip(h.universe, ks)}

@@ -127,6 +127,19 @@ class TestEval:
                                "--assignment", '{"arg:a": "1"}'])
         assert code == 2 and "unassigned" in err
 
+    @pytest.mark.parametrize("assignment, message", [
+        ('{"arg:a": 0}', "arg:b is unassigned"),
+        ('{"arg:a": 1}', "arg:b is unassigned"),
+        ('{"arg:a": 0.0, "arg:b": "1/3"}', "not three-valued"),
+    ])
+    def test_every_leaf_checked_whatever_the_conjunct_order(self, tmp_path, assignment,
+                                                            message):
+        path = tmp_path / "two.hafs"
+        path.write_text("arg(a). arg(b).\n")
+        code, out, err = invoke(["eval", str(path), "--logic", "l3",
+                                 "--assignment", assignment])
+        assert code == 2 and out == "" and message in err
+
 
 class TestSolve:
     def test_fixed_point_report(self, self_attack_file):

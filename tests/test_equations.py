@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 import hafs
 from hafs import (Assignment, GODEL, L3, LUKASIEWICZ, PRODUCT, PreconditionError,
                   SizeBoundError, argument, attack_id, build_equations,
-                  enumerate_ternary_solutions, h_function, residual,
-                  solve_fixed_point, support_id)
+                  enumerate_ternary_solutions, h_function, solve_fixed_point,
+                  support_id)
 from hafs.bridge import ternarize
 from hafs.cli import run
 from hafs.equations import _compile_apply, _least_squares
@@ -49,13 +49,13 @@ class TestBuild:
     def test_self_attack_godel_instances(self, self_attack):
         system = build_equations(self_attack, GODEL)
         # a = max(1-a, 1-r1), r1 = 1
-        assert residual(system, {A: VH, R1: V1}) == 0
-        assert residual(system, {A: V1, R1: V1}) == 1
+        assert system.residual({A: VH, R1: V1}) == 0
+        assert system.residual({A: V1, R1: V1}) == 1
 
     def test_self_support_godel_is_identity_in_a(self, example3):
         system = build_equations(example3, GODEL)
         for value in (V0, Fraction(2, 5), VH, V1):
-            assert residual(system, {A: value, T1: V1}) == 0
+            assert system.residual({A: value, T1: V1}) == 0
 
     def test_one_equation_per_element(self):
         for h, _ in corpus(20, seed_base=8200):
@@ -114,7 +114,7 @@ class TestResidual:
         # a off by 1, b solves (b = max(1-0,1-1)... = 1) -> off by 1, r1 off by 0
         gaps = [abs(values[eq.element] - system.rhs(eq, values))
                 for eq in system.equations]
-        assert residual(system, values) == max(gaps)
+        assert system.residual(values) == max(gaps)
 
     def test_exact_solution_shortcut_agrees(self):
         rng = random.Random(4)
@@ -122,12 +122,12 @@ class TestResidual:
             for logic in (GODEL, PRODUCT):
                 system = build_equations(h, logic)
                 for values in grid_points(h, rng, 6):
-                    assert system.is_exact_solution(values) == (residual(system, values) == 0)
+                    assert system.is_exact_solution(values) == (system.residual(values) == 0)
 
     def test_non_total_rejected(self, f3):
         system = build_equations(f3, GODEL)
         with pytest.raises(hafs.ValidationError):
-            residual(system, {argument("a"): V1})
+            system.residual({argument("a"): V1})
 
 
 class TestHFunction:
@@ -344,7 +344,7 @@ class TestTernaryEnumeration:
                 unpruned = [
                     Assignment(dict(zip(h.universe, combo)))
                     for combo in itertools.product((V0, VH, V1), repeat=len(h))
-                    if residual(system, dict(zip(h.universe, combo))) == 0
+                    if system.residual(dict(zip(h.universe, combo))) == 0
                 ]
                 assert list(enumerate_ternary_solutions(system)) == unpruned
 

@@ -1,13 +1,18 @@
+import gc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import numpy as np
+
 from hafs import (And, Assignment, BUILTIN_LOGICS, Bottom, EvaluationError, GODEL,
                   Iff, Implies, L3, LUKASIEWICZ, Not, Or, PRODUCT, Top, ValidationError,
                   Var, argument, attack_id, compile_evaluator, encode_normal, evaluate,
-                  formula_to_json_obj, formula_to_text, get_logic, is_model, support_id,
-                  variables)
+                  formula_to_json_obj, formula_to_text, get_logic, is_model, parse,
+                  serialize, support_id, variables)
+from hafs import bridge
+from hafs.logic import _fold
 
 from helpers import corpus
 
@@ -122,6 +127,16 @@ class TestEvaluate:
         with pytest.raises(EvaluationError, match="unassigned"):
             evaluate(Var(A), Assignment({}), L3)
 
+    def test_every_conjunct_is_checked(self):
+        # the first conjunct is 0, which fixes the value of the conjunction
+        # but does not excuse the leaves after it
+        f = And((Iff(Var(A), Top()), Iff(Var(B), Top())))
+        for logic in BUILTIN_LOGICS.values():
+            with pytest.raises(EvaluationError, match="arg:b is unassigned"):
+                evaluate(f, Assignment({A: 0}), logic)
+        with pytest.raises(EvaluationError, match="not three-valued"):
+            evaluate(f, Assignment({A: 0.0, B: Fraction(1, 3)}), L3)
+
     @given(logic=fuzzy_logics, m=rationals01, n=rationals01)
     def test_iff_equals_two_implications(self, logic, m, n):
         derived = And((Implies(Var(A), Var(B)), Implies(Var(B), Var(A))))
@@ -188,26 +203,98 @@ class TestIsModel:
 class TestCompiledEvaluator:
     @given(seed=st.integers(0, 80))
     def test_matches_interpreter_on_encodings(self, seed):
+        # one float point at a time; exact values are evaluate's alone
         import random
         h, _ = corpus(1, seed_base=7800 + seed * 13)[0]
         f = encode_normal(h)
         rng = random.Random(seed)
-        exact = {x: Fraction(rng.randrange(5), 4) for x in h.universe}
         floats = {x: rng.random() for x in h.universe}
         for logic in (GODEL, PRODUCT, LUKASIEWICZ):
             compiled = compile_evaluator(f, logic)
-            assert compiled(exact) == evaluate(f, Assignment(exact), logic)
             assert compiled(floats) == evaluate(f, Assignment(floats), logic)
         ternary = {x: (V0, VH, V1)[rng.randrange(3)] for x in h.universe}
         compiled = compile_evaluator(f, L3)
-        assert compiled(ternary) == evaluate(f, Assignment(ternary), L3)
+        assert compiled({x: float(v) for x, v in ternary.items()}) == \
+            evaluate(f, Assignment(ternary), L3)
 
     def test_handwritten_connectives(self):
         f = Or((Implies(Var(A), Bottom()), Not(And((Var(A), Var(B))))))
         compiled = compile_evaluator(f, L3)
         for m in THREE:
             for n in THREE:
-                assert compiled({A: m, B: n}) == ev2(f, L3, m, n)
+                assert compiled({A: float(m), B: float(n)}) == ev2(f, L3, m, n)
+
+
+class TestFoldTables:
+    """The float64-array and exact operator tables against scalar evaluate."""
+
+    SAMPLES = 64
+    FRAMEWORKS = [parse("")] + [h for h, _ in corpus(30, seed_base=16_000)]
+
+    @staticmethod
+    def _floats(rng, count):
+        # random floats, with the endpoints and 1/2 mixed in for the ties
+        return np.where(rng.random(count) < 0.3, rng.choice([0.0, 0.5, 1.0], count),
+                        rng.random(count))
+
+    def test_float_arrays_equal_scalar_evaluate(self):
+        rng = np.random.default_rng(5)
+        for h in self.FRAMEWORKS:
+            f = encode_normal(h)
+            columns = {x: self._floats(rng, self.SAMPLES) for x in h.universe}
+            for logic in (GODEL, PRODUCT, LUKASIEWICZ):
+                with np.errstate(all="raise"):
+                    values = compile_evaluator(f, logic)(columns)
+                values = np.broadcast_to(values, self.SAMPLES)
+                for i, value in enumerate(values.tolist()):
+                    point = Assignment({x: float(c[i]) for x, c in columns.items()})
+                    assert value == evaluate(f, point, logic), (serialize(h), logic.name, i)
+
+    def test_l3_on_three_floats_equals_scalar_evaluate(self):
+        rng = np.random.default_rng(6)
+        for h in self.FRAMEWORKS:
+            f = encode_normal(h)
+            codes = {x: rng.integers(0, 3, self.SAMPLES) for x in h.universe}
+            columns = {x: np.array([0.0, 0.5, 1.0])[c] for x, c in codes.items()}
+            values = np.broadcast_to(compile_evaluator(f, L3)(columns), self.SAMPLES)
+            for i, value in enumerate(values.tolist()):
+                point = Assignment({x: THREE[c[i]] for x, c in codes.items()})
+                assert value == evaluate(f, point, L3), (serialize(h), i)
+
+    def test_fold_leaves_no_reference_cycles(self):
+        # a cycle would keep each grid chunk's columns alive until the
+        # collector runs, which raised the peak memory of the EQ_* sweeps
+        h = self.FRAMEWORKS[5]
+        f = encode_normal(h)
+        one = np.ones(4, dtype=np.int64)
+        gc.collect()
+        gc.disable()
+        try:
+            evaluate(f, Assignment({x: VH for x in h.universe}), PRODUCT)
+            compile_evaluator(f, PRODUCT)({x: np.full(4, 0.5) for x in h.universe})
+            _fold(f, {x: (one, 2 * one) for x in h.universe}.__getitem__,
+                  bridge._exact_ops(PRODUCT, one))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_or_raises_the_same_error_from_every_table(self):
+        f = And((Var(A), Or((Var(A), Var(B)))))
+        one = np.ones(3, dtype=np.int64)
+        quarter = (np.array([1, 1, 0]), np.array([4, 2, 1]))
+        for logic in (GODEL, PRODUCT, LUKASIEWICZ):
+            messages = []
+            calls = (
+                lambda: evaluate(f, Assignment({A: VH, B: V1}), logic),
+                lambda: compile_evaluator(f, logic)({A: np.full(3, 0.5), B: np.ones(3)}),
+                lambda: _fold(f, {A: quarter, B: (one, one)}.__getitem__,
+                              bridge._exact_ops(logic, one)),
+            )
+            for call in calls:
+                with pytest.raises(EvaluationError) as info:
+                    call()
+                messages.append(str(info.value))
+            assert messages == [f"disjunction is not interpreted in the {logic.name} logic"] * 3
 
 
 class TestAssignment:
