@@ -172,10 +172,7 @@ def _cmd_labellings(opts, stdin, stdout) -> int:
 def _cmd_extensions(opts, stdin, stdout) -> int:
     h = _read_framework(opts.input, stdin)
     family = extensions.enumerate_extensions(h, opts.semantics)
-    payload = extensions.extensions_to_json_obj(family)
-    if opts.semantics == "grounded" and not family:
-        payload["diagnostic"] = "no least complete extension exists"
-    _emit_json(stdout, payload)
+    _emit_json(stdout, extensions.extensions_to_json_obj(family))
     return 0
 
 

@@ -6,12 +6,17 @@ attack on the head of an acyclic chain of supports, all inside the set,
 leading to the element).  Defence, conflict-freeness and the usual
 complete / grounded / preferred / stable families are derived from
 those two notions.
+
+The defence function D(B) (everything ``B`` defends, given what ``B``
+defeats) is monotone, so its least fixpoint L is reached by iterating D
+from the empty set.  L is conflict-free, hence the grounded extension
+and contained in every complete extension; the complete family is found
+by an in/out propagation search that starts from L.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Literal
 
 from .errors import PreconditionError, SizeBoundError, ValidationError
@@ -142,13 +147,101 @@ def classify_set(h: HAFS, E: Iterable[ElementId]) -> SetFlags:
     return _flags(h, inset, _defeated(h.incidence, inset))
 
 
+def _defence(view: Incidence, inset: set[int]) -> set[int]:
+    """D(B): what ``inset`` defends, given what it defeats."""
+    return _defended(view, inset, _defeated(view, inset))
+
+
+def _least_fixpoint(view: Incidence) -> set[int]:
+    """L, the least fixpoint of D, by iteration from the empty set.
+
+    D is monotone: ``_defeated`` only grows with the set, and so every
+    condition of ``_defended`` only gets easier to meet.  Hence the
+    iterates B0 = {} <= B1 = D(B0) <= ... increase to L, and L is below
+    every fixpoint, in particular below every complete extension.
+
+    L is also conflict-free, so it is itself the least complete
+    extension.  Let B be conflict-free with B <= D(B).
+    (1) D(B) meets nothing B defeats: a y defeated by B is either attacked
+        through a pair (b, r) inside B, and defending y needs b or r
+        defeated by B; or it has a support (c, t) with t in B and c
+        defeated by B, and defending y needs c in B or t defeated by B.
+        Either way B would defeat one of its own members.
+    (2) D(B) is conflict-free: take y in D(B) defeated by D(B), entered
+        as early as possible in the closure ``_defeated`` computes.  If a
+        pair (b, r) inside D(B) attacks y, defending y puts b or r among
+        the elements defeated by B, against (1).  Otherwise a support
+        (c, t) with t in D(B) and c defeated by D(B) earlier carries the
+        defeat to y; defending y needs t defeated by B, against (1), or
+        c in B <= D(B), which makes c an earlier such element than y.
+    B0 = {} meets the hypothesis, and by (2) and monotonicity so does
+    every later iterate, hence L.
+    """
+    least: set[int] = set()
+    while (step := _defence(view, least)) != least:
+        least = step
+    return least
+
+
+def _propagate(view: Incidence, everything: set[int], inset: set[int],
+               outset: set[int]) -> tuple[set[int], set[int]] | None:
+    """Grow (IN, OUT) by moves every complete extension E with IN <= E
+    and E disjoint from OUT must follow; None when no such E exists.
+
+    E = D(E) >= D(IN) forces D(IN) in; conflict-freeness forces what IN
+    defeats out; E = D(E) <= D(U - OUT) forces the rest of U out.
+    """
+    while True:
+        rest = everything - outset
+        defeated = _defeated(view, inset)
+        grown_in = inset | _defended(view, inset, defeated)
+        grown_out = outset | defeated | (everything - _defence(view, rest))
+        if not grown_in.isdisjoint(grown_out):
+            return None
+        if len(grown_in) == len(inset) and len(grown_out) == len(outset):
+            return inset, outset
+        inset, outset = grown_in, grown_out
+
+
+def _complete_positions(view: Incidence) -> list[list[int]]:
+    """Every complete extension, as sorted positions, ordered by size then
+    lexicographically (the order of a subset scan by size).
+
+    Depth-first over an explicit stack from (L, {}), branching on the
+    smallest undecided position.  A fully decided node that survives
+    propagation is complete: D(IN) <= IN was forced, IN <= D(U - OUT) =
+    D(IN) was checked, and IN defeats nothing in IN.
+    """
+    everything = set(range(len(view.incoming)))
+    found = []
+    stack = [(_least_fixpoint(view), set())]
+    while stack:
+        node = _propagate(view, everything, *stack.pop())
+        if node is None:
+            continue
+        inset, outset = node
+        undecided = everything - inset - outset
+        if not undecided:
+            found.append(sorted(inset))
+            continue
+        x = min(undecided)
+        stack.append((inset, outset | {x}))
+        stack.append((inset | {x}, outset))
+    found.sort(key=lambda positions: (len(positions), positions))
+    return found
+
+
 def enumerate_extensions(h: HAFS, semantics: ExtensionSemantics,
                          bound: int | None = None) -> tuple[ElementSet, ...]:
-    """Exhaustive subset scan, ordered by size then lexicographically.
+    """Extensions of ``h``, ordered by size then lexicographically by
+    universe position.
 
-    grounded returns the unique smallest complete extension when one
-    exists and nothing otherwise (least elements are not guaranteed once
-    supports may form cycles).
+    grounded is the least fixpoint L of the defence function, found
+    without search.  L is always conflict-free (see ``_least_fixpoint``),
+    so a complete extension always exists and L is the least one.
+    complete comes from the propagation search of ``_complete_positions``;
+    preferred keeps its maximal members and stable those that, with what
+    they defeat, cover the universe.
     """
     limit = bound if bound is not None else universe_bound(DEFAULT_EXTENSION_BOUND)
     n = len(h.universe)
@@ -156,21 +249,11 @@ def enumerate_extensions(h: HAFS, semantics: ExtensionSemantics,
         raise SizeBoundError(f"universe has {n} elements, bound is {limit}")
 
     view = h.incidence
-    complete: list[ElementSet] = []
-    for size in range(n + 1):
-        for combo in combinations(range(n), size):
-            inset = set(combo)
-            defeated = _defeated(view, inset)
-            if inset.isdisjoint(defeated) and inset == _defended(view, inset, defeated):
-                complete.append(_elements(h, combo))
-
+    if semantics == "grounded":
+        return (_elements(h, _least_fixpoint(view)),)
+    complete = [_elements(h, positions) for positions in _complete_positions(view)]
     if semantics == "complete":
         return tuple(complete)
-    if semantics == "grounded":
-        for candidate in complete:
-            if all(candidate <= other for other in complete):
-                return (candidate,)
-        return ()
     preferred = tuple(
         E for E in complete if not any(E < other for other in complete)
     )

@@ -19,7 +19,7 @@ point forward; they are resolved once the whole text has been read.
 Every semantics reads the same structure: each element's incoming attacks
 (attacker, attack) and supports (supporter, support).  ``HAFS.incidence``
 holds it once per framework as integer positions into ``universe``, built
-on first use, and the labelling sweep, the extension scan, the fixed-point
+on first use, and the labelling sweep, the extension search, the fixed-point
 solver and the support-cycle check all read that one view.
 """
 

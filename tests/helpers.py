@@ -3,9 +3,10 @@
 The oracles deliberately avoid the production code paths they check:
 labelling enumeration is re-done by unpruned filtering, the three-valued
 models and the EQ_* grid verdicts by unpruned scalar sweeps through
-``evaluate`` and ``is_exact_solution``, defeat pairs by a least-fixpoint
-recursion, equation right-hand sides by the closed forms, and support
-acyclicity by Kahn's algorithm.
+``evaluate`` and ``is_exact_solution``, extension families by an
+unpruned subset scan through ``classify_set``, defeat pairs by a
+least-fixpoint recursion, equation right-hand sides by the closed forms,
+and support acyclicity by Kahn's algorithm.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import random
 from fractions import Fraction
 
 from hafs import (HAFS, L3, InfeasibleParametersError, Labelling3, LogicSystem,
-                  build_equations, encode_normal, evaluate, framework_digest,
-                  generate_random, is_adjacent_complete, serialize)
+                  build_equations, classify_set, dft, encode_normal, evaluate,
+                  framework_digest, generate_random, is_adjacent_complete, serialize)
 from hafs.bridge import FLOAT_RESIDUAL_TOL
 from hafs.labellings import THREE_VALUES
 
@@ -138,6 +139,24 @@ def lfp_defeat_pairs(h: HAFS, B: frozenset) -> set[tuple]:
                     pairs.add((b, rel.target))
                     changed = True
     return pairs
+
+
+def scan_extensions(h: HAFS) -> dict[str, tuple[frozenset, ...]]:
+    """All four extension families by an unpruned 2^|U| subset scan.
+
+    Subsets go by size, then lexicographically in universe order, and each
+    is kept when ``classify_set`` calls it complete.  grounded is the
+    complete extension contained in all others, if there is one; preferred
+    the maximal ones; stable the preferred ones that, with what they
+    defeat, cover the universe.
+    """
+    complete = tuple(E for E in all_subsets(h.universe) if classify_set(h, E).complete)
+    grounded = tuple(E for E in complete if all(E <= other for other in complete))[:1]
+    preferred = tuple(E for E in complete if not any(E < other for other in complete))
+    full = frozenset(h.universe)
+    stable = tuple(E for E in preferred if E | dft(h, E) == full)
+    return {"complete": complete, "grounded": grounded,
+            "preferred": preferred, "stable": stable}
 
 
 def godel_rhs(h: HAFS, element, values) -> object:

@@ -1,4 +1,8 @@
+import itertools
+import time
+
 import pytest
+from hypothesis import given, strategies as st
 
 import hafs
 from hafs import (PreconditionError, SizeBoundError, ValidationError, argument,
@@ -7,7 +11,7 @@ from hafs import (PreconditionError, SizeBoundError, ValidationError, argument,
                   indirectly_defeats, is_adjacent_complete, support_id)
 from hafs.extensions import defeats
 
-from helpers import all_subsets, corpus, lfp_defeat_pairs
+from helpers import all_subsets, corpus, lfp_defeat_pairs, scan_extensions
 
 
 def ids(*qualified):
@@ -223,3 +227,91 @@ class TestDerivedLabelling:
             }
             adjacent = set(hafs.enumerate_adjacent_complete(h))
             assert derived == adjacent, hafs.serialize(h)
+
+
+SEMANTICS = ("complete", "grounded", "preferred", "stable")
+
+
+def assert_matches_scan(h):
+    expected = scan_extensions(h)
+    for semantics in SEMANTICS:
+        assert enumerate_extensions(h, semantics) == expected[semantics], \
+            (semantics, hafs.serialize(h))
+
+
+class TestSearchMatchesScan:
+    """The propagation search against the unpruned subset scan, tuples in order."""
+
+    def test_corpus(self):
+        # every other framework may have support cycles, including self-supports
+        for h, _ in corpus(200, max_u=10, seed_base=31_000):
+            assert_matches_scan(h)
+
+    def test_wider_corpus(self):
+        for h, _ in corpus(40, max_u=13, max_args=6, seed_base=32_000):
+            assert_matches_scan(h)
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "arg(a). supp(t1,a,a).",
+        "arg(a). att(r1,a,a).",
+        "arg(a1). att(r1,a1,a1). supp(t1,a1,r1). supp(t2,a1,a1).",
+        "arg(a). arg(b). supp(t1,a,b). supp(t2,b,a). att(r1,a,t2).",
+        "arg(a). arg(b). arg(c). supp(t1,a,b). supp(t2,b,c). supp(t3,c,a). "
+        "att(r1,c,t1). att(r2,r1,r1).",
+    ])
+    def test_handwritten(self, text):
+        assert_matches_scan(hafs.parse(text))
+
+    @given(nargs=st.integers(1, 4), natts=st.integers(0, 3), nsupps=st.integers(0, 3),
+           seed=st.integers(0, 10_000), acyclic=st.booleans(),
+           hop=st.sampled_from([0.0, 0.3, 0.6]))
+    def test_generated(self, nargs, natts, nsupps, seed, acyclic, hop):
+        # acyclic=False admits support cycles and self-supports
+        try:
+            h = hafs.generate_random(nargs, natts, nsupps, seed=seed,
+                                     support_acyclic=acyclic, higher_order_prob=hop)
+        except hafs.InfeasibleParametersError:
+            return
+        assert_matches_scan(h)
+
+    def test_grounded_is_always_the_least_complete_extension(self):
+        for h, _ in corpus(300, max_u=10, seed_base=33_000):
+            (grounded,) = enumerate_extensions(h, "grounded")
+            assert classify_set(h, grounded).complete, hafs.serialize(h)
+            assert all(grounded <= E for E in enumerate_extensions(h, "complete"))
+
+
+class TestSearchAtScale:
+    """Families derived by hand, at sizes the subset scan cannot reach."""
+
+    def test_five_mutual_attacks_at_the_bound(self):
+        # five disjoint mutual attacks a_i <-> b_i
+        h = hafs.parse(" ".join(f"arg(a{i}). arg(b{i}). att(r{i},a{i},b{i}). att(s{i},b{i},a{i})."
+                                for i in range(5)))
+        assert len(h) == 20
+        attacks = frozenset(x for x in h.universe if x.qualified.startswith("att:"))
+        choices = [(frozenset(), ids(f"arg:a{i}"), ids(f"arg:b{i}")) for i in range(5)]
+        complete = [attacks.union(*pick) for pick in itertools.product(*choices)]
+        position = {x: i for i, x in enumerate(h.universe)}
+        complete.sort(key=lambda E: (len(E), sorted(position[x] for x in E)))
+        maximal = tuple(E for E in complete if len(E) == 15)
+
+        start = time.perf_counter()
+        assert enumerate_extensions(h, "complete") == tuple(complete)
+        assert time.perf_counter() - start < 1.0
+        assert len(complete) == 3 ** 5 and len(maximal) == 2 ** 5
+        assert enumerate_extensions(h, "preferred") == maximal
+        assert enumerate_extensions(h, "stable") == maximal
+        assert enumerate_extensions(h, "grounded") == (attacks,)
+
+    def test_long_support_chain(self):
+        # b attacks the head of a0 -> a1 -> ... -> a3000, all supports unattacked
+        links = 3000
+        text = "arg(b). att(r0,b,a0). " + " ".join(f"arg(a{i})." for i in range(links + 1))
+        text += " ".join(f"supp(t{i},a{i},a{i + 1})." for i in range(links))
+        h = hafs.parse(text)
+        extension = ids("arg:b", "att:r0", *(f"supp:t{i}" for i in range(links)))
+        assert len(extension) == 3002
+        for semantics in SEMANTICS:
+            assert enumerate_extensions(h, semantics, bound=10_000) == (extension,)
