@@ -16,6 +16,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import PreconditionError, SizeBoundError, ValidationError
 from .framework import HAFS, ElementId, Incidence
 from .labellings import ONE, THREE_VALUES
@@ -173,6 +175,71 @@ def _compile_apply(logic: LogicSystem, view: Incidence):
     return apply_generic
 
 
+def _layered_apply(logic: LogicSystem, view: Incidence):
+    """Whole-system update X -> F(X) over (rows x n) float64 arrays, one
+    start per row, for the built-in operator combinations; else ``None``.
+
+    Every incoming pair's factor is computed in one pass; a support pair
+    gathers ``1.0 - x[c]`` from the columns past n where an attack pair
+    gathers ``x[b]``.  The factors are then folded by pair rank: layer k
+    updates only the accumulators of the elements that have a k-th pair,
+    in the attacks-then-supports order of :func:`h_function`.  The
+    accumulators are kept in descending in-degree order, so each layer is
+    a leading slice and no element is padded with the identity (under
+    Łukasiewicz, ``(1.0 + v) - 1.0`` can round away from ``v``).  The
+    formulas and operation order are those of :func:`_compile_apply`, so
+    the floats are identical.
+    """
+    if logic.negation is not _standard_negation:
+        return None
+    tnorm = logic.tnorm
+    if tnorm is not _tnorm_min and tnorm is not _tnorm_product \
+            and tnorm is not _tnorm_lukasiewicz:
+        return None
+    pairs = [att + supp for att, supp in view.incoming]
+    n = len(pairs)
+    rank = sorted(range(n), key=lambda i: -len(pairs[i]))
+    first, second, layers = [], [], []
+    width = n
+    for k in itertools.count():
+        while width and len(pairs[rank[width - 1]]) <= k:
+            width -= 1
+        if not width:
+            break
+        layers.append((len(first), width))
+        for i in rank[:width]:
+            a, b = pairs[i][k]
+            first.append(a if k < len(view.incoming[i][0]) else n + a)
+            second.append(b)
+    first = np.array(first, dtype=np.intp)
+    second = np.array(second, dtype=np.intp)
+    back = np.empty(n, dtype=np.intp)
+    back[rank] = np.arange(n)
+
+    def apply(x):
+        p = np.hstack((x, 1.0 - x))[:, first]
+        q = x[:, second]
+        if tnorm is _tnorm_min:
+            v = 1.0 - np.where(p < q, p, q)
+        elif tnorm is _tnorm_product:
+            v = 1.0 - p * q
+        else:
+            z = p + q - 1.0
+            v = 1.0 - np.where(z > 0.0, z, 0.0)
+        acc = np.ones((len(x), n))
+        for lo, m in layers:
+            a, w = acc[:, :m], v[:, lo:lo + m]
+            if tnorm is _tnorm_min:
+                np.copyto(a, w, where=w < a)
+            elif tnorm is _tnorm_product:
+                a *= w
+            else:
+                z = a + w - 1.0
+                a[...] = np.where(z > 0.0, z, 0.0)
+        return acc[:, back]
+    return apply
+
+
 @dataclass(frozen=True)
 class SolveReport:
     """Outcome of one iteration run.
@@ -211,6 +278,16 @@ _STALL_EVERY = 50
 _ANDERSON_DEPTH = 5
 _SNAP = 1e-3
 
+# Systems of at least this many elements iterate all their starts together
+# as one (starts x n) array (_run_batched); smaller ones run each start in
+# Python (_run).  Mean process time per solve of 11 starts on random
+# Gödel/Product/Łukasiewicz systems (2-core x86-64, numpy 2.4, best of 5),
+# array against per-start: 1.53 vs 0.95 ms at |U| = 3, 3.00 vs 2.37 ms at
+# |U| = 6, 2.48 vs 2.13 ms at |U| = 8, about even at |U| = 10, then 2.03 vs
+# 2.29 ms at |U| = 12, 4.22 vs 9.09 ms at |U| = 32, 4.69 vs 25.0 ms at
+# |U| = 128.
+_BATCH_MIN_ELEMENTS = 12
+
 
 def solve_fixed_point(system: EquationSystem, damping: float = 0.5,
                       tolerance: float = 1e-9, max_iter: int = 100_000,
@@ -223,9 +300,13 @@ def solve_fixed_point(system: EquationSystem, damping: float = 0.5,
     halving (see ``_STALL_START``) continues with Anderson acceleration,
     and when it converges there, coordinates within 1e-3 of 0 or 1 are
     snapped to them if the snapped vector is verified to be within
-    tolerance too.  Every step counts against ``max_iter``.  Converged
-    duplicates (within ten tolerances in max norm) of an earlier solution
-    are dropped; non-converged runs are reported as such, never hidden.
+    tolerance too.  Every step counts against ``max_iter``.  Under the
+    built-in t-norms, systems of at least ``_BATCH_MIN_ELEMENTS`` elements
+    take their damped steps for all starts at once as one (starts x n)
+    array, with each start keeping its own schedule and the same floats.
+    Converged duplicates (within ten tolerances in max norm) of an earlier
+    solution are dropped; non-converged runs are reported as such, never
+    hidden.
     """
     if not system.logic.continuous:
         raise PreconditionError(
@@ -233,48 +314,29 @@ def solve_fixed_point(system: EquationSystem, damping: float = 0.5,
         )
     if not 0 < damping <= 1:
         raise PreconditionError("damping must lie in (0, 1]")
+    if not tolerance >= 0:
+        raise PreconditionError("tolerance must be a number >= 0")
+    if max_iter < 0:
+        raise PreconditionError("max_iter must be >= 0")
     order = system.universe
     n = len(order)
     rng = random.Random(seed)
     starts: list[list[float]] = [[0.0] * n, [1.0] * n, [0.5] * n]
     starts += [[rng.random() for _ in range(n)] for _ in range(restarts)]
 
-    apply = _compile_apply(system.logic, system.framework.incidence)
+    view = system.framework.incidence
+    apply = _compile_apply(system.logic, view)
+    batched = _layered_apply(system.logic, view) if n >= _BATCH_MIN_ELEMENTS else None
+    if batched is None:
+        runs = [_run(apply, list(x), damping, tolerance, max_iter) for x in starts]
+    else:
+        runs = _run_batched(batched, apply, starts, damping, tolerance, max_iter)
 
     reports: list[SolveReport] = []
     kept: list[list[float]] = []
-    keep = 1.0 - damping
-    for start_index, x in enumerate(starts):
-        x = list(x)
-        stop_reason = "max_iter"
-        iterations = 0
-        gap = mark = 0.0
-        for iterations in range(max_iter + 1):
-            fx = apply(x)
-            gap = 0.0
-            for j in range(n):
-                d = x[j] - fx[j]
-                if d < 0.0:
-                    d = -d
-                if d > gap:
-                    gap = d
-            if gap <= tolerance:
-                stop_reason = "tolerance"
-                break
-            if iterations == max_iter:
-                break
-            if iterations % _STALL_EVERY == 0:
-                if iterations >= _STALL_START and gap > 0.5 * mark:
-                    x, gap, iterations, stop_reason = _accelerate(
-                        apply, x, fx, gap, iterations, damping, tolerance, max_iter)
-                    break
-                mark = gap
-            for j in range(n):
-                x[j] = keep * x[j] + damping * fx[j]
+    for start_index, (x, gap, iterations, stop_reason) in enumerate(runs):
         converged = stop_reason == "tolerance"
-        if converged and any(
-            max(abs(a - b) for a, b in zip(x, prev)) <= 10 * tolerance for prev in kept
-        ):
+        if converged and any(_max_gap(x, prev) <= 10 * tolerance for prev in kept):
             continue
         if converged:
             kept.append(x)
@@ -286,6 +348,78 @@ def solve_fixed_point(system: EquationSystem, damping: float = 0.5,
             stop_reason=stop_reason,
         ))
     return reports
+
+
+def _run(apply, x: list[float], damping: float, tolerance: float,
+         max_iter: int) -> tuple[list[float], float, int, str]:
+    """One damped run from ``x``: final point, residual, iterations and
+    stop reason."""
+    n = len(x)
+    keep = 1.0 - damping
+    mark = 0.0
+    for iterations in range(max_iter + 1):
+        fx = apply(x)
+        gap = 0.0
+        for j in range(n):
+            d = x[j] - fx[j]
+            if d < 0.0:
+                d = -d
+            if d > gap:
+                gap = d
+        if gap <= tolerance:
+            return x, gap, iterations, "tolerance"
+        if iterations == max_iter:
+            break
+        if iterations % _STALL_EVERY == 0:
+            if iterations >= _STALL_START and gap > 0.5 * mark:
+                return _accelerate(apply, x, fx, gap, iterations, damping, tolerance,
+                                   max_iter)
+            mark = gap
+        for j in range(n):
+            x[j] = keep * x[j] + damping * fx[j]
+    return x, gap, iterations, "max_iter"
+
+
+def _run_batched(batched, apply, starts: list[list[float]], damping: float,
+                 tolerance: float, max_iter: int) -> list[tuple[list[float], float, int, str]]:
+    """:func:`_run` for every start at once, one start per row of ``x``.
+
+    All rows take their damped steps in lockstep, so they share the
+    iteration count; a row leaves when it stops, and a stalled row
+    continues alone in the scalar :func:`_accelerate` on ``apply``.
+    """
+    keep = 1.0 - damping
+    runs: list = [None] * len(starts)
+    rows = list(range(len(starts)))  # start index of each row of x
+    x = np.array(starts)
+    mark = np.zeros(len(starts))
+    for iterations in range(max_iter + 1):
+        fx = batched(x)
+        gap = np.abs(x - fx).max(axis=1)
+        done = gap <= tolerance
+        for r in np.flatnonzero(done).tolist():
+            runs[rows[r]] = (x[r].tolist(), float(gap[r]), iterations, "tolerance")
+        if iterations == max_iter:
+            for r in np.flatnonzero(~done).tolist():
+                runs[rows[r]] = (x[r].tolist(), float(gap[r]), iterations, "max_iter")
+            break
+        if iterations % _STALL_EVERY == 0:
+            if iterations >= _STALL_START:
+                stalled = ~done & (gap > 0.5 * mark)
+                for r in np.flatnonzero(stalled).tolist():
+                    runs[rows[r]] = _accelerate(apply, x[r].tolist(), fx[r].tolist(),
+                                                float(gap[r]), iterations, damping,
+                                                tolerance, max_iter)
+                done |= stalled
+            mark = gap
+        if done.any():
+            stay = ~done
+            if not stay.any():
+                break
+            rows = [rows[r] for r in np.flatnonzero(stay).tolist()]
+            x, fx, mark = x[stay], fx[stay], mark[stay]
+        x = keep * x + damping * fx
+    return runs
 
 
 def _max_gap(x: list[float], fx: list[float]) -> float:

@@ -128,6 +128,12 @@ class TestVerifyExamples:
         assert "exhaustive" in report.notes["backward"]
         assert "sampled" in report.notes["forward"]
 
+    def test_t16_and_corr_g_on_the_empty_framework(self):
+        h = hafs.parse("")
+        assert verify(h, "T16").passed
+        assert verify(h, "T16", logic="product").passed
+        assert verify(h, "CORR_G").passed
+
     def test_unknown_theorem(self, example3):
         with pytest.raises(ValidationError, match="unknown theorem"):
             verify(example3, "T99")

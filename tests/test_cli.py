@@ -160,6 +160,20 @@ class TestSolve:
         ]
 
 
+    def test_empty_framework_has_one_converged_report(self):
+        code, out, _ = invoke(["solve", "-"])
+        assert code == 0
+        assert json.loads(out)["reports"] == [{"converged": True, "iterations": 0,
+                                               "residual": 0.0, "restart_index": 0,
+                                               "solution": {}}]
+
+    @pytest.mark.parametrize("option", [["--max-iter", "-3"], ["--tol", "nan"]])
+    def test_unusable_budget_or_tolerance_exits_1(self, self_attack_file, option):
+        code, out, err = invoke(["solve", self_attack_file] + option)
+        assert code == 1 and out == ""
+        assert err.startswith("hafs: error: ")
+
+
 class TestVerify:
     def test_passing_theorems_exit_0(self, example3_file):
         code, out, _ = invoke(["verify", example3_file, "--theorem", "T1",

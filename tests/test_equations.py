@@ -2,6 +2,7 @@ import io
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,7 +13,8 @@ from hafs import (Assignment, GODEL, L3, LUKASIEWICZ, PRODUCT, PreconditionError
                   support_id)
 from hafs.bridge import ternarize
 from hafs.cli import run
-from hafs.equations import _compile_apply, _least_squares
+import hafs.equations as equations
+from hafs.equations import _compile_apply, _layered_apply, _least_squares
 from hafs.labellings import is_adjacent_complete
 from hafs.logic import LogicSystem
 
@@ -92,6 +94,34 @@ class TestClosedForms:
                     values = dict(zip(order, x))
                     expected = [system.rhs(eq, values) for eq in system.equations]
                     assert fast(x) == expected
+
+    def test_layered_apply_matches_generic_h(self):
+        # (rows x n) arrays with exact 0, 1/2 and 1 among the draws, on the
+        # corpus above and on frameworks with in-degrees up to about ten
+        rng = random.Random(3)
+        frameworks = [h for h, _ in corpus(15, max_u=6, seed_base=9400)]
+        frameworks += [hafs.generate_random(30, 40, 30, seed=s, support_acyclic=bool(s % 2),
+                                            higher_order_prob=0.6) for s in range(3)]
+        for h in frameworks:
+            order = h.universe
+            for logic in (GODEL, PRODUCT, LUKASIEWICZ):
+                system = build_equations(h, logic)
+                layered = _layered_apply(logic, h.incidence)
+                scalar = _compile_apply(logic, h.incidence)
+                x = np.array([[rng.choice((0.0, 0.5, 1.0, rng.random())) for _ in order]
+                              for _ in range(5)])
+                rows = x.tolist()
+                expected = [[system.rhs(eq, dict(zip(order, row))) for eq in system.equations]
+                            for row in rows]
+                assert layered(x).tolist() == expected
+                # same floats, signed zeros included
+                assert repr(layered(x).tolist()) == repr([scalar(row) for row in rows])
+
+    def test_layered_apply_declines_other_logics(self, self_attack):
+        wrapped = LogicSystem(name="min-wrapped", value_domain="unit_interval",
+                              negation=GODEL.negation, tnorm=lambda x, y: min(x, y),
+                              implication=GODEL.implication)
+        assert _layered_apply(wrapped, self_attack.incidence) is None
 
     def test_generic_fold_matches_inlined_min(self):
         # a t-norm the kernels do not recognise takes the h_function fold
@@ -291,6 +321,19 @@ class TestSolve:
         reports = solve_fixed_point(system, max_iter=0, restarts=0)
         assert [(r.stop_reason, r.iterations) for r in reports] == [("max_iter", 0)] * 3
 
+    def test_empty_system_has_one_converged_report(self):
+        reports = solve_fixed_point(build_equations(hafs.parse(""), GODEL))
+        assert [(r.restart_index, r.iterations, r.converged, r.residual) for r in reports] == [
+            (0, 0, True, 0.0)]
+        assert reports[0].solution.to_json_obj() == {}
+
+    @pytest.mark.parametrize("kwargs", [{"max_iter": -3}, {"tolerance": float("nan")},
+                                        {"tolerance": -1e-9}])
+    def test_unusable_budget_or_tolerance_rejected(self, self_attack, kwargs):
+        system = build_equations(self_attack, GODEL)
+        with pytest.raises(PreconditionError):
+            solve_fixed_point(system, **kwargs)
+
     def test_least_squares_matches_numpy(self):
         import numpy as np
         rng = random.Random(6)
@@ -313,6 +356,63 @@ class TestSolve:
         obj = solve_fixed_point(system)[0].to_json_obj()
         assert set(obj) == {"solution", "residual", "iterations",
                             "restart_index", "converged"}
+
+
+def both_paths(monkeypatch, system, **kwargs):
+    """Reports of the per-start and of the batched driver, each forced."""
+    monkeypatch.setattr(equations, "_BATCH_MIN_ELEMENTS", len(system.universe) + 1)
+    scalar = solve_fixed_point(system, **kwargs)
+    monkeypatch.setattr(equations, "_BATCH_MIN_ELEMENTS", 0)
+    batched = solve_fixed_point(system, **kwargs)
+    return scalar, batched
+
+
+class TestBatchedStarts:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_large_systems_match_per_start_runs(self, monkeypatch, seed):
+        h = hafs.generate_random(120, 120, 60, seed=seed, support_acyclic=bool(seed),
+                                 higher_order_prob=0.3)
+        assert len(h) > equations._BATCH_MIN_ELEMENTS
+        for logic in (GODEL, PRODUCT, LUKASIEWICZ):
+            scalar, batched = both_paths(monkeypatch, build_equations(h, logic), seed=seed)
+            assert repr(batched) == repr(scalar)
+
+    def test_rows_leave_on_their_own_schedules(self, monkeypatch):
+        # at damping 0.05 some rows stall at iteration 200 and continue in
+        # _accelerate while the others go on converging in the array
+        h = hafs.generate_random(40, 40, 20, seed=0, higher_order_prob=0.3)
+        for logic in (GODEL, PRODUCT, LUKASIEWICZ):
+            scalar, batched = both_paths(monkeypatch, build_equations(h, logic),
+                                         damping=0.05)
+            assert repr(batched) == repr(scalar)
+        for kwargs in ({"max_iter": 0}, {"max_iter": 30}, {"tolerance": 1e-3}):
+            scalar, batched = both_paths(monkeypatch, build_equations(h, PRODUCT), **kwargs)
+            assert repr(batched) == repr(scalar)
+
+    def test_stalled_product_run_reaches_anderson_from_the_array(self, monkeypatch):
+        h = hafs.parse(TERNARIZE)
+        assert len(h) >= equations._BATCH_MIN_ELEMENTS
+        system = build_equations(h, PRODUCT)
+        stalled_at = []
+        accelerate = equations._accelerate
+
+        def spy(apply, x, fx, gap, iterations, *rest):
+            assert type(x) is list and type(x[0]) is float and type(gap) is float
+            stalled_at.append(iterations)
+            return accelerate(apply, x, fx, gap, iterations, *rest)
+
+        monkeypatch.setattr(equations, "_accelerate", spy)
+        batched = solve_fixed_point(system)
+        assert stalled_at == [200] * 11
+        monkeypatch.setattr(equations, "_BATCH_MIN_ELEMENTS", len(h) + 1)
+        assert repr(solve_fixed_point(system)) == repr(batched)
+
+    def test_run_that_cannot_move_stalls_in_the_array_too(self, monkeypatch, self_attack):
+        scalar, batched = both_paths(monkeypatch, build_equations(self_attack, PRODUCT),
+                                     damping=1e-300, max_iter=1000, restarts=0)
+        assert repr(batched) == repr(scalar)
+        (stuck,) = [r for r in batched if r.restart_index == 1]
+        assert stuck.stop_reason == "stalled" and stuck.iterations == 201
 
 
 class TestTernaryEnumeration:
