@@ -77,7 +77,8 @@ def embed(labelling: Labelling3) -> Assignment:
 # few elements at a time, and test each conjunct or equation once its last
 # variable is assigned; a partial row that fails is dropped with every row
 # that extends it.  Rows extend in lexicographic order, so the survivors come
-# out in the order of the full grid.
+# out in the order of the full grid.  The sampled EQ_* rows are drawn whole and
+# then tested level by level in the same way.
 
 _FRONTIER_STEP = 2 ** 8  # a step adds columns while the chunk stays this small
 _FRONTIER_ROWS = 2 ** 14  # partial rows held per chunk
@@ -97,6 +98,18 @@ def _by_level(order, items, variables_of) -> list[list]:
     return levels
 
 
+def _survivors(check, codes, alive, levels):
+    """``codes`` and ``alive`` after ``check(codes, levels)``: ``alive`` is
+    and-ed with what it returns, and the rows on which no side holds any
+    more are dropped."""
+    holds = check(codes, levels)
+    if holds is None:
+        return codes, alive
+    alive = alive & holds
+    keep = alive.any(axis=1)
+    return codes[keep], alive[keep]
+
+
 def _frontier(width: int, base: int, sides: int, check):
     """Rows of the base-``base`` grid over ``width`` columns on which some
     side still holds, in grid order, as (codes, alive) chunks.
@@ -110,16 +123,8 @@ def _frontier(width: int, base: int, sides: int, check):
     the conjunction of these over all levels so far.  A row is dropped
     once no side holds.
     """
-    def survivors(codes, alive, levels):
-        holds = check(codes, levels)
-        if holds is None:
-            return codes, alive
-        alive = alive & holds
-        keep = alive.any(axis=1)
-        return codes[keep], alive[keep]
-
-    stack = [survivors(np.zeros((1, 0), dtype=np.int8), np.ones((1, sides), dtype=bool),
-                       range(1))]
+    stack = [_survivors(check, np.zeros((1, 0), dtype=np.int8),
+                        np.ones((1, sides), dtype=bool), range(1))]
     while stack:
         codes, alive = stack.pop()
         rows, k = codes.shape
@@ -135,8 +140,8 @@ def _frontier(width: int, base: int, sides: int, check):
         grown = np.empty((rows * len(block), k + step), dtype=np.int8, order="F")
         grown[:, :k] = np.repeat(codes, len(block), axis=0)
         grown[:, k:] = np.tile(block, (rows, 1))
-        codes, alive = survivors(grown, np.repeat(alive, len(block), axis=0),
-                                 range(k + 1, k + step + 1))
+        codes, alive = _survivors(check, grown, np.repeat(alive, len(block), axis=0),
+                                  range(k + 1, k + step + 1))
         stack.extend((codes[s:s + _FRONTIER_ROWS], alive[s:s + _FRONTIER_ROWS])
                      for s in reversed(range(0, len(codes), _FRONTIER_ROWS)))
 
@@ -421,28 +426,35 @@ def _equation_variables(eq) -> set:
     return {eq.element}.union(*eq.attacker_pairs, *eq.supporter_pairs)
 
 
+def _level_check(formula: Formula, system: EquationSystem):
+    """``check(codes, levels)`` for :func:`_survivors`: the (rows, 2) model
+    and solution verdicts of the conjuncts and the equations at ``levels``,
+    each grouped by its own variables, on rows whose first
+    ``levels[-1]`` columns are assigned; None where there are none."""
+    order = system.universe
+    formulas = _by_level(order, _conjuncts(formula), variables)
+    equations = _by_level(order, system.equations, _equation_variables)
+
+    def check(codes, levels):
+        fs = [f for k in levels for f in formulas[k]]
+        eqs = [eq for k in levels for eq in equations[k]]
+        if not fs and not eqs:
+            return None
+        positions = list(enumerate(order[:levels[-1]]))
+        return np.column_stack(_quarter_verdicts(fs, eqs, system.logic, positions, codes))
+    return check
+
+
 def _exhaustive_verdicts(formula: Formula, system: EquationSystem):
     """(codes, model, solution) chunks of the quarter-grid rows that are a
     model or a solution, in grid order.
 
     The formula side is tested conjunct by conjunct and the equation side
-    equation by equation, each grouped by its own variables; a partial row
-    is dropped only once both sides have failed on it, so every row on
-    which the two disagree comes out.
+    equation by equation; a partial row is dropped only once both sides
+    have failed on it, so every row on which the two disagree comes out.
     """
-    order = system.universe
-    formulas = _by_level(order, _conjuncts(formula), variables)
-    equations = _by_level(order, system.equations, _equation_variables)
-
-    def check(codes, step):
-        fs = [f for k in step for f in formulas[k]]
-        eqs = [eq for k in step for eq in equations[k]]
-        if not fs and not eqs:
-            return None
-        positions = list(enumerate(order[:codes.shape[1]]))
-        return np.column_stack(_quarter_verdicts(fs, eqs, system.logic, positions, codes))
-
-    for codes, alive in _frontier(len(order), 5, 2, check):
+    check = _level_check(formula, system)
+    for codes, alive in _frontier(len(system.universe), 5, 2, check):
         yield codes, alive[:, 0], alive[:, 1]
 
 
@@ -476,14 +488,23 @@ def _draw_codes(rng: random.Random, count: int) -> np.ndarray:
 def _sampled_verdicts(formula: Formula, system: EquationSystem, rng: random.Random,
                       rows: int):
     """(codes, model, solution) chunks of ``rows`` quarter-grid rows drawn
-    point-major from ``rng``."""
-    positions = list(enumerate(system.universe))
-    n = len(positions)
+    point-major from ``rng``, less the rows on which both sides fail.
+
+    Each drawn chunk is tested level by level, as the exhaustive sweep
+    tests its partial rows, and a row is dropped once both sides have
+    failed on it; the rows kept stay in the order drawn.
+    """
+    check = _level_check(formula, system)
+    n = len(system.universe)
     for start in range(0, rows, _EQ_CHUNK_ROWS):
         count = min(_EQ_CHUNK_ROWS, rows - start)
         codes = _draw_codes(rng, count * n).reshape(count, n)
-        yield (codes, *_quarter_verdicts(_conjuncts(formula), system.equations, system.logic,
-                                         positions, codes))
+        alive = np.ones((count, 2), dtype=bool)
+        for k in range(n + 1):
+            if not len(codes):
+                break
+            codes, alive = _survivors(check, codes, alive, range(k, k + 1))
+        yield codes, alive[:, 0], alive[:, 1]
 
 
 def _check_equation_equivalence(theorem_id: str, h: HAFS, logic: LogicSystem,
@@ -515,19 +536,19 @@ def _check_equation_equivalence(theorem_id: str, h: HAFS, logic: LogicSystem,
                             for e, k in zip(order, codes[row])},
             ))
 
-    # drawn point-major, as a per-point loop would; the formula side in one pass
+    # drawn point-major, as a per-point loop would; each side in one array pass
     draws = np.array([rng.random() for _ in range(float_samples * len(order))])
     draws = draws.reshape(float_samples, len(order))
     models = evaluator({e: draws[:, j] for j, e in enumerate(order)}) == 1.0
-    for row, model in zip(draws.tolist(), np.broadcast_to(models, float_samples).tolist()):
-        point = dict(zip(order, row))
-        near_solution = system.residual(point) <= FLOAT_RESIDUAL_TOL
-        if model != near_solution:
-            return VerificationReport(theorem_id, digest, False, _counterexample(
-                h, "float assignment verdicts disagree between the encoded "
-                   "formula and the equation residual",
-                assignment={e.qualified: float(f"{v:.12g}") for e, v in point.items()},
-            ))
+    near_solutions = system.residuals(draws) <= FLOAT_RESIDUAL_TOL
+    disagree = np.flatnonzero(models != near_solutions)
+    if disagree.size:
+        point = draws[disagree[0]].tolist()
+        return VerificationReport(theorem_id, digest, False, _counterexample(
+            h, "float assignment verdicts disagree between the encoded "
+               "formula and the equation residual",
+            assignment={e.qualified: float(f"{v:.12g}") for e, v in zip(order, point)},
+        ))
     return VerificationReport(theorem_id, digest, True, notes=notes)
 
 
@@ -617,8 +638,12 @@ def verify(h: HAFS, theorem_id: str, logic: LogicSystem | str | None = None,
 
     ``bound`` caps the universe size for the exhaustive enumerations.
     ``logic`` selects the fuzzy system for T16/IDEM (default Gödel); the
-    EQ_G/EQ_P/EQ_L and CORR_G ids fix their own logic.
+    EQ_G/EQ_P/EQ_L and CORR_G ids fix their own logic.  ``grid_cap`` and
+    ``float_samples``, the quarter-grid rows and float points of the EQ_*
+    checks, must be >= 0.
     """
+    if grid_cap < 0 or float_samples < 0:
+        raise PreconditionError("grid_cap and float_samples must be >= 0")
     if isinstance(logic, str):
         logic = get_logic(logic)
     if theorem_id == "T1":

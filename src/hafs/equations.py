@@ -92,6 +92,19 @@ class EquationSystem:
                 worst = gap
         return worst
 
+    def residuals(self, points: np.ndarray) -> np.ndarray:
+        """:meth:`residual` of each row of a (points x n) float64 array,
+        whose columns follow the universe order, in one array pass.
+
+        The right-hand sides come from :func:`_layered_apply`, so each
+        row's value equals the per-point method's; only the built-in
+        t-norms have that kernel.
+        """
+        apply = _layered_apply(self.logic, self.framework.incidence)
+        if apply is None:
+            raise PreconditionError(f"logic {self.logic.name} has no array kernel")
+        return np.abs(points - apply(points)).max(axis=1, initial=0.0)
+
     def is_exact_solution(self, values: Mapping) -> bool:
         """Equivalent to ``residual(values) == 0`` with early exit."""
         return all(values[eq.element] == self.rhs(eq, values) for eq in self.equations)

@@ -74,13 +74,15 @@ def pl3_models(h: HAFS) -> tuple[Labelling3, ...]:
 
 def equation_equivalence_report(theorem_id: str, h: HAFS, logic: LogicSystem,
                                 grid_cap: int = 100_000, float_samples: int = 200,
-                                seed: int = 0, flipped=frozenset()) -> dict:
+                                seed: int = 0, flipped=frozenset(),
+                                flipped_samples=frozenset()) -> dict:
     """The EQ_* report ``verify`` should give, from an unpruned scalar sweep.
 
     Rows are the whole quarter grid in order when it has at most
     ``grid_cap`` rows, else ``grid_cap`` rows of ``randrange(5)`` codes
     drawn point-major; the float samples continue from that generator.
-    The solution verdict of the code tuples in ``flipped`` is inverted.
+    The solution verdict of the code tuples in ``flipped`` is inverted, and
+    the residual verdict of the float samples numbered in ``flipped_samples``.
     """
     formula = encode_normal(h)
     system = build_equations(h, logic)
@@ -105,10 +107,11 @@ def equation_equivalence_report(theorem_id: str, h: HAFS, logic: LogicSystem,
                                f"but {'a solution' if solution else 'not a solution'}",
                 "assignment": {e.qualified: str(v) for e, v in point.items()},
             })
-    for _ in range(float_samples):
+    for sample in range(float_samples):
         point = {e: rng.random() for e in order}
         model = evaluate(formula, point, logic) == 1.0
-        if model != (system.residual(point) <= FLOAT_RESIDUAL_TOL):
+        near_solution = system.residual(point) <= FLOAT_RESIDUAL_TOL
+        if model != (near_solution != (sample in flipped_samples)):
             return report(False, {
                 "framework": serialize(h),
                 "explanation": "float assignment verdicts disagree between the encoded "

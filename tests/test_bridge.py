@@ -11,7 +11,8 @@ from hafs import (Assignment, GODEL, LUKASIEWICZ, PRODUCT, PreconditionError,
                   encode_normal, enumerate_pl3_models, evaluate, framework_digest,
                   is_model, support_id, ternarize, verify)
 from hafs import bridge
-from hafs.bridge import VerificationReport
+from hafs.bridge import FLOAT_RESIDUAL_TOL, VerificationReport
+from hafs.equations import EquationSystem
 from hafs.labellings import HALF, ONE, THREE_VALUES, ZERO, grid_codes
 from hafs.logic import _fold
 
@@ -134,6 +135,11 @@ class TestVerifyExamples:
         assert verify(h, "T16", logic="product").passed
         assert verify(h, "CORR_G").passed
 
+    @pytest.mark.parametrize("sizes", [{"grid_cap": -5}, {"float_samples": -3}])
+    def test_negative_eq_sizes_rejected(self, self_attack, sizes):
+        with pytest.raises(PreconditionError, match=">= 0"):
+            verify(self_attack, "EQ_G", **sizes)
+
     def test_unknown_theorem(self, example3):
         with pytest.raises(ValidationError, match="unknown theorem"):
             verify(example3, "T99")
@@ -207,34 +213,53 @@ class TestExactGrid:
 
     def test_wide_product_chunks_use_python_ints(self, monkeypatch):
         # the Product fold over ten attacks on one argument has denominators
-        # up to 16^10, past the int64-safe 2^31
-        text = " ".join(f"arg(b{i}). att(r{i},b{i},a)." for i in range(10))
+        # up to 16^10, past the int64-safe 2^31; the attacks from a on the
+        # ten attackers and attacks come last in the order, so no row is
+        # pruned before the level of a's equation
+        text = " ".join(f"arg(b{i}). att(r{i},b{i},a). att(s{i},a,b{i}). att(t{i},a,r{i})."
+                        for i in range(10))
         h = hafs.parse("arg(a). " + text)
-        dtypes = []
+        calls = []
         verdicts = bridge._grid_verdicts
 
         def spy(*args):
-            dtypes.append(args[-1])
+            calls.append((args[-1], args[-2]))
             return verdicts(*args)
 
         monkeypatch.setattr(bridge, "_grid_verdicts", spy)
         report = verify(h, "EQ_P", grid_cap=2000)
         assert report.passed, report.counterexample
         assert report.notes == {"grid": "sampled(2000)", "float_samples": 200}
-        assert dtypes == [np.int64, object]
+        dtypes = [dtype for dtype, _ in calls]
+        assert object in dtypes
+        # each Python-int call redoes the int64 call before it, on the same rows
+        for (before, rows_before), (dtype, rows) in zip(calls, calls[1:]):
+            if dtype is object:
+                assert before is np.int64 and rows is rows_before
 
     @staticmethod
-    def _flip_solution_rows(monkeypatch, h, points):
-        """Invert the solution verdict on the grid rows with code tuples
-        ``points``.  Pruned sweeps complete only rows on which a side still
-        holds, so the points should be such rows."""
-        verdicts = bridge._quarter_verdicts
+    def _flip_solution_rows(monkeypatch, h, logic, points):
+        """Invert the solution verdict of the grid rows with code tuples
+        ``points``.
+
+        Every full-width call of ``_quarter_verdicts`` reports the inverted
+        verdict of the whole row on them, so the verdicts of the several
+        calls a sampled row gets do not compound.  The exhaustive sweep
+        makes its one full-width call only on rows on which a side still
+        holds after the partial ones, so there the points should be such
+        rows.
+        """
+        system = build_equations(h, logic)
         targets = np.array(points, dtype=np.int8)
+        inverted = np.array([not system.is_exact_solution(
+            {e: Fraction(k, 4) for e, k in zip(h.universe, point)}) for point in points])
+        verdicts = bridge._quarter_verdicts
 
         def flipped(formulas, equations, logic, positions, codes):
             model, solution = verdicts(formulas, equations, logic, positions, codes)
             if codes.shape[1] == len(h):
-                solution = solution ^ (codes[:, None, :] == targets).all(axis=2).any(axis=1)
+                hits = (codes[:, None, :] == targets).all(axis=2)
+                solution = np.where(hits.any(axis=1), (hits & inverted).any(axis=1), solution)
             return model, solution
 
         monkeypatch.setattr(bridge, "_quarter_verdicts", flipped)
@@ -248,7 +273,7 @@ class TestExactGrid:
     def test_disagreement_names_first_exhaustive_row(self, monkeypatch, f3):
         # codes over (a, b, r1), rows 107 and 112; a = 1 as its equation
         # demands, so the pruned sweep completes them
-        self._flip_solution_rows(monkeypatch, f3, [(4, 1, 2), (4, 2, 2)])
+        self._flip_solution_rows(monkeypatch, f3, PRODUCT, [(4, 1, 2), (4, 2, 2)])
         report = verify(f3, "EQ_P", float_samples=0)
         assert not report.passed
         point = {argument("a"): Fraction(1), argument("b"): Fraction(1, 4),
@@ -262,7 +287,7 @@ class TestExactGrid:
     def test_disagreement_names_first_sampled_row(self, monkeypatch, f3):
         rng = random.Random(5)
         draws = [tuple(rng.randrange(5) for _ in f3.universe) for _ in range(10)]
-        self._flip_solution_rows(monkeypatch, f3, [draws[3], draws[6]])
+        self._flip_solution_rows(monkeypatch, f3, PRODUCT, [draws[3], draws[6]])
         report = verify(f3, "EQ_P", grid_cap=10, float_samples=0, seed=5)
         assert not report.passed
         first = next(d for d in draws if d in (draws[3], draws[6]))
@@ -311,10 +336,81 @@ class TestEquationOracle:
                                                        float_samples=0, seed=i,
                                                        flipped=frozenset(points))
                 with monkeypatch.context() as patch:
-                    TestExactGrid._flip_solution_rows(patch, h, points)
+                    TestExactGrid._flip_solution_rows(patch, h, logic, points)
                     report = verify(h, theorem_id, grid_cap=grid_cap, float_samples=0, seed=i)
                 assert not report.passed
                 assert report.to_json_obj() == expected, (hafs.serialize(h), grid_cap)
+
+
+    @pytest.mark.parametrize("theorem_id", ["EQ_G", "EQ_P", "EQ_L"])
+    def test_sampled_grid_on_eight_and_nine_elements(self, monkeypatch, theorem_id):
+        # two support-acyclic and two support-cyclic frameworks; most drawn
+        # rows are pruned early, and the two flipped rows lie deep in the draw
+        logic = self.LOGICS[theorem_id]
+        frameworks = [h for h, _ in corpus(60, max_u=9, max_args=5, seed_base=16_300)
+                      if len(h) >= 8]
+        for i, h in enumerate([frameworks[j] for j in (0, 1, 11, 15)]):
+            expected = equation_equivalence_report(theorem_id, h, logic, grid_cap=2500,
+                                                   float_samples=20, seed=i)
+            report = verify(h, theorem_id, grid_cap=2500, float_samples=20, seed=i)
+            assert report.to_json_obj() == expected, hafs.serialize(h)
+            rng = random.Random(i)
+            sampled = [tuple(rng.randrange(5) for _ in h.universe) for _ in range(2500)]
+            points = [sampled[1200], sampled[2300]]
+            expected = equation_equivalence_report(theorem_id, h, logic, grid_cap=2500,
+                                                   float_samples=0, seed=i,
+                                                   flipped=frozenset(points))
+            with monkeypatch.context() as patch:
+                TestExactGrid._flip_solution_rows(patch, h, logic, points)
+                report = verify(h, theorem_id, grid_cap=2500, float_samples=0, seed=i)
+            assert not report.passed
+            assert report.to_json_obj() == expected, hafs.serialize(h)
+
+    @pytest.mark.parametrize("theorem_id", ["EQ_G", "EQ_P", "EQ_L"])
+    def test_sampled_rows_are_the_drawn_models_and_solutions(self, monkeypatch, theorem_id):
+        # every drawn row on which a side holds comes out, in the order
+        # drawn, with both verdicts; chunks of 256 rows, so that several
+        # chunks are drawn, and the generator ends where the per-row draw does
+        monkeypatch.setattr(bridge, "_EQ_CHUNK_ROWS", 256)
+        logic = self.LOGICS[theorem_id]
+        for i, (h, _) in enumerate(corpus(10, max_u=8, seed_base=16_500)):
+            formula, system = encode_normal(h), build_equations(h, logic)
+            reference = random.Random(i)
+            expected = []
+            for _ in range(700):
+                codes = tuple(reference.randrange(5) for _ in h.universe)
+                point = {e: Fraction(k, 4) for e, k in zip(h.universe, codes)}
+                model = evaluate(formula, point, logic) == 1
+                solution = system.is_exact_solution(point)
+                if model or solution:
+                    expected.append((codes, model, solution))
+            rng = random.Random(i)
+            rows = [(tuple(codes), model, solution)
+                    for chunk in bridge._sampled_verdicts(formula, system, rng, 700)
+                    for codes, model, solution in zip(*(a.tolist() for a in chunk))]
+            assert rows == expected, hafs.serialize(h)
+            assert rng.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("theorem_id", ["EQ_G", "EQ_P", "EQ_L"])
+    def test_first_flipped_float_sample(self, monkeypatch, theorem_id):
+        flipped = frozenset({4, 9})
+        residuals = EquationSystem.residuals
+
+        def inverted(system, points):
+            gaps = residuals(system, points)
+            rows = sorted(r for r in flipped if r < len(gaps))
+            gaps[rows] = np.where(gaps[rows] <= FLOAT_RESIDUAL_TOL, 1.0, 0.0)
+            return gaps
+
+        monkeypatch.setattr(EquationSystem, "residuals", inverted)
+        logic = self.LOGICS[theorem_id]
+        for i, (h, _) in enumerate(corpus(8, max_u=5, seed_base=16_400)):
+            expected = equation_equivalence_report(theorem_id, h, logic, grid_cap=50,
+                                                   float_samples=12, seed=i,
+                                                   flipped_samples=flipped)
+            report = verify(h, theorem_id, grid_cap=50, float_samples=12, seed=i)
+            assert not report.passed
+            assert report.to_json_obj() == expected, hafs.serialize(h)
 
 
 class TestDrawCodes:

@@ -200,6 +200,13 @@ class TestVerify:
         code, _, _ = invoke(["verify", example3_file, "--theorem", "T99"])
         assert code == 2
 
+    @pytest.mark.parametrize("option", [["--grid-cap", "-5"], ["--float-samples", "-3"]])
+    def test_negative_eq_sizes_exit_1(self, option):
+        code, out, err = invoke(["verify", "-", "--theorem", "EQ_G"] + option,
+                                stdin_text="arg(a). att(r1,a,a).")
+        assert code == 1 and out == ""
+        assert err.startswith("hafs: error: ")
+
 
 class TestRandom:
     def test_deterministic_output(self):

@@ -154,6 +154,29 @@ class TestResidual:
                 for values in grid_points(h, rng, 6):
                     assert system.is_exact_solution(values) == (system.residual(values) == 0)
 
+    def test_residuals_match_the_per_point_residual(self, self_attack):
+        # random points with exact 0, 1/2 and 1 among the draws, exact
+        # solutions, the empty framework and elements with no incoming pairs
+        rng = random.Random(6)
+        frameworks = [h for h, _ in corpus(100, seed_base=9900)]
+        frameworks += [hafs.parse(""), hafs.parse("arg(a). arg(b). att(r1,a,b).")]
+        for h in frameworks:
+            order = h.universe
+            rows = [[rng.choice((0.0, 0.5, 1.0, rng.random())) for _ in order]
+                    for _ in range(6)]
+            for logic in (GODEL, PRODUCT, LUKASIEWICZ):
+                system = build_equations(h, logic)
+                points = rows + [[float(v) for v in s.values()]
+                                 for s in enumerate_ternary_solutions(system)]
+                x = np.array(points).reshape(len(points), len(order))
+                expected = [system.residual(dict(zip(order, p))) for p in points]
+                assert system.residuals(x).tolist() == expected, hafs.serialize(h)
+        wrapped = LogicSystem(name="min-wrapped", value_domain="unit_interval",
+                              negation=GODEL.negation, tnorm=lambda x, y: min(x, y),
+                              implication=GODEL.implication)
+        with pytest.raises(PreconditionError, match="no array kernel"):
+            build_equations(self_attack, wrapped).residuals(np.zeros((1, 2)))
+
     def test_non_total_rejected(self, f3):
         system = build_equations(f3, GODEL)
         with pytest.raises(hafs.ValidationError):
