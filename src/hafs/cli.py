@@ -162,10 +162,7 @@ def _cmd_labellings(opts, stdin, stdout) -> int:
     family = labellings.enumerate_adjacent_complete(h)
     if opts.semantics != "complete":
         family = labellings.select_labellings(h, family, opts.semantics)
-    payload = labellings.labellings_to_json_obj(family)
-    if opts.semantics == "grounded" and not family:
-        payload["diagnostic"] = "no least core exists"
-    _emit_json(stdout, payload)
+    _emit_json(stdout, labellings.labellings_to_json_obj(family))
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Framework definition, parsing, validation and random generation.
+r"""Framework definition, parsing, validation and random generation.
 
 A framework is a finite universe of arguments, attacks and supports in
 which attacks and supports are first-class elements: they can themselves
@@ -16,6 +16,17 @@ between tokens)::
 ``att``/``supp`` arguments are ``(id, source, target)``.  References may
 point forward; they are resolved once the whole text has been read.
 
+``parse`` reads the text one statement at a time with one compiled
+pattern.  Whitespace is Unicode whitespace (what ``str.isspace`` accepts),
+and a comment runs to its newline or to the end of the text.  Positions
+stay character offsets until an error is raised; the error's line counts
+``\n`` only, and its column is the offset minus that of the last ``\n``.
+Errors come in this order: the first character that starts no token,
+anywhere in the text; then the first token that breaks a statement (or
+the end of the text, placed just after the last token); then duplicate
+names; then dangling and self references.  The last two are found in
+statement order and placed at the statement's head.
+
 Every semantics reads the same structure: each element's incoming attacks
 (attacker, attack) and supports (supporter, support).  ``HAFS.incidence``
 holds it once per framework as integer positions into ``universe``, built
@@ -30,11 +41,13 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import total_ordering
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .errors import InfeasibleParametersError, ParseError, ValidationError
 
-_NAME_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*")
+_NAME = r"[a-zA-Z_][a-zA-Z0-9_]*"
+_NAME_RE = re.compile(_NAME)
 
 
 class Kind(Enum):
@@ -46,6 +59,8 @@ class Kind(Enum):
 
 
 _KIND_ORDER = {Kind.ARGUMENT: 0, Kind.ATTACK: 1, Kind.SUPPORT: 2}
+_ID_KEY = attrgetter("_key")
+_RELATION_KEY = attrgetter("id._key")
 
 
 @total_ordering
@@ -59,8 +74,10 @@ class ElementId:
     def __post_init__(self):
         if not _NAME_RE.fullmatch(self.name):
             raise ValidationError(f"invalid element name {self.name!r}")
-        # the dataclass hash, computed once: ids key every map and set
+        # the dataclass hash and the sort key, computed once: ids key every
+        # map and set, and every sort of a framework reads the key
         object.__setattr__(self, "_hash", hash((self.kind, self.name)))
+        object.__setattr__(self, "_key", (_KIND_ORDER[self.kind], self.name))
 
     def __hash__(self) -> int:
         return self._hash
@@ -70,7 +87,7 @@ class ElementId:
         return ElementId, (self.kind, self.name)
 
     def __lt__(self, other: "ElementId") -> bool:
-        return (_KIND_ORDER[self.kind], self.name) < (_KIND_ORDER[other.kind], other.name)
+        return self._key < other._key
 
     @property
     def qualified(self) -> str:
@@ -174,9 +191,9 @@ class HAFS:
                  attacks: Iterable[Relation],
                  supports: Iterable[Relation]):
         # no silent dedup: duplicate declarations surface as duplicate names
-        args = tuple(sorted(arguments))
-        atts = tuple(sorted(attacks, key=lambda r: r.id))
-        supps = tuple(sorted(supports, key=lambda r: r.id))
+        args = tuple(sorted(arguments, key=_ID_KEY))
+        atts = tuple(sorted(attacks, key=_RELATION_KEY))
+        supps = tuple(sorted(supports, key=_RELATION_KEY))
         for a in args:
             if a.kind is not Kind.ARGUMENT:
                 raise ValidationError(f"{a} declared as argument but has kind {a.kind.value}")
@@ -187,52 +204,48 @@ class HAFS:
             if t.kind is not Kind.SUPPORT:
                 raise ValidationError(f"{t.id} declared as support but has kind {t.id.kind.value}")
 
-        ids = [a for a in args] + [r.id for r in atts] + [t.id for t in supps]
-        seen_names: dict[str, ElementId] = {}
-        for eid in ids:
+        # sorted, since each kind is sorted and the kinds come in key order
+        universe = args + tuple(r.id for r in atts) + tuple(t.id for t in supps)
+        seen_names: set[str] = set()
+        for eid in universe:
             if eid.name in seen_names:
                 raise ValidationError(f"duplicate name {eid.name!r}")
-            seen_names[eid.name] = eid
+            seen_names.add(eid.name)
 
         self.arguments = args
         self.attacks = atts
         self.supports = supps
-        self.universe = tuple(sorted(ids))
+        self.universe = universe
         self._by_id = {r.id: r for r in atts + supps}
 
-        members = set(self.universe)
-        pairs: set[tuple[Kind, ElementId, ElementId]] = set()
-        for rel in atts + supps:
-            for endpoint in (rel.source, rel.target):
-                if endpoint not in members:
-                    raise ValidationError(f"{rel.id} references undeclared element {endpoint}")
-            key = (rel.kind, rel.source, rel.target)
-            if key in pairs:
-                raise ValidationError(
-                    f"duplicate {rel.kind.value} with source {rel.source} and target {rel.target}"
-                )
-            pairs.add(key)
+        # incoming pairs, grouped by target in the relation-id order of
+        # ``atts`` and ``supps``
+        attackers: dict[ElementId, list[tuple[ElementId, ElementId]]] = {x: [] for x in universe}
+        supporters: dict[ElementId, list[tuple[ElementId, ElementId]]] = {x: [] for x in universe}
+        for relations, incoming in ((atts, attackers), (supps, supporters)):
+            pairs: set[tuple[ElementId, ElementId]] = set()
+            for rel in relations:
+                for endpoint in (rel.source, rel.target):
+                    if endpoint not in incoming:
+                        raise ValidationError(f"{rel.id} references undeclared element {endpoint}")
+                key = (rel.source, rel.target)
+                if key in pairs:
+                    raise ValidationError(
+                        f"duplicate {rel.kind.value} with source {rel.source} and target {rel.target}"
+                    )
+                pairs.add(key)
+                incoming[rel.target].append((rel.source, rel.id))
 
         self._check_well_founded()
-
-        attackers: dict[ElementId, list[tuple[ElementId, ElementId]]] = {x: [] for x in self.universe}
-        supporters: dict[ElementId, list[tuple[ElementId, ElementId]]] = {x: [] for x in self.universe}
-        for rel in atts:
-            attackers[rel.target].append((rel.source, rel.id))
-        for rel in supps:
-            supporters[rel.target].append((rel.source, rel.id))
-        # incoming lists sorted by relation id for deterministic traversal
-        self._attackers = {x: tuple(sorted(v, key=lambda p: p[1])) for x, v in attackers.items()}
-        self._supporters = {x: tuple(sorted(v, key=lambda p: p[1])) for x, v in supporters.items()}
+        self._attackers = {x: tuple(v) for x, v in attackers.items()}
+        self._supporters = {x: tuple(v) for x, v in supporters.items()}
         self._incidence = None
 
     def _check_well_founded(self):
         # relation -> relations appearing as its endpoints must form a DAG
-        def refs(rid: ElementId) -> list[ElementId]:
-            rel = self._by_id[rid]
-            return [e for e in (rel.source, rel.target) if e in self._by_id]
-
-        node = _cycle_node([rel.id for rel in self.attacks + self.supports], refs)
+        refs = {rel.id: [e for e in (rel.source, rel.target) if e.kind is not Kind.ARGUMENT]
+                for rel in self.attacks + self.supports}
+        node = _cycle_node(refs, refs.__getitem__)
         if node is not None:
             raise ValidationError(f"definitional cycle among relations involving {node}")
 
@@ -296,88 +309,76 @@ class Incidence:
     def __init__(self, h: HAFS):
         position = {x: i for i, x in enumerate(h.universe)}
         self.position = position
-        self.incoming = tuple(
-            (tuple((position[b], position[r]) for b, r in h.attackers_of(x)),
-             tuple((position[c], position[t]) for c, t in h.supporters_of(x)))
-            for x in h.universe
-        )
+        attacks: list[list[tuple[int, int]]] = [[] for _ in h.universe]
+        supports: list[list[tuple[int, int]]] = [[] for _ in h.universe]
         outgoing: list[list[tuple[int, int]]] = [[] for _ in h.universe]
-        for rel in h.supports:
-            outgoing[position[rel.source]].append((position[rel.target], position[rel.id]))
-        self.outgoing_supports = tuple(tuple(edges) for edges in outgoing)
+        # one walk over the id-sorted relations, as in ``HAFS.__init__``; the
+        # universe lists each kind's relations in that order, so a relation's
+        # position is its index plus an offset
+        for r, rel in enumerate(h.attacks, len(h.arguments)):
+            attacks[position[rel.target]].append((position[rel.source], r))
+        for t, rel in enumerate(h.supports, len(h.arguments) + len(h.attacks)):
+            c, x = position[rel.source], position[rel.target]
+            supports[x].append((c, t))
+            outgoing[c].append((x, t))
+        self.incoming = tuple(zip(map(tuple, attacks), map(tuple, supports)))
+        self.outgoing_supports = tuple(map(tuple, outgoing))
         self.free = tuple(i for i, (att, supp) in enumerate(self.incoming) if att or supp)
 
 
 # -- parsing ---------------------------------------------------------------
 
-
-@dataclass
-class _Token:
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "%":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch in "(),.":
-            tokens.append(_Token(ch, line, col))
-            col += 1
-            i += 1
-            continue
-        m = _NAME_RE.match(text, i)
-        if m:
-            tokens.append(_Token(m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    return tokens
+# a comment ends at its newline or at the end of the text, so a run of ``%``
+# splits one way only and a failed match backtracks in linear time
+_SKIP = r"(?:\s|%[^\n]*(?:\n|\Z))*"
+# group 1 is the head, group 2 is set for a relation, which then takes a
+# source and a target
+_STATEMENT = re.compile(
+    rf"{_SKIP}(arg|(att|supp)){_SKIP}\({_SKIP}({_NAME}){_SKIP}"
+    rf"(?(2),{_SKIP}({_NAME}){_SKIP},{_SKIP}({_NAME}){_SKIP})\){_SKIP}\."
+)
+_BLANK = re.compile(rf"{_SKIP}\Z")
+# whitespace, comments and tokens: a match ends at the first character that
+# starts no token
+_LEXEMES = re.compile(rf"(?:\s|%[^\n]*|[(),.]|{_NAME})*")
+# a comment, or a token in group 1
+_TOKEN = re.compile(rf"%[^\n]*|([(),.]|{_NAME})")
+# the tokens after a head, ``N`` standing for a name
+_SHAPES = {"arg": "(N).", "att": "(N,N,N).", "supp": "(N,N,N)."}
+_KINDS = {kind.value: kind for kind in Kind}
 
 
-class _TokenStream:
-    def __init__(self, tokens: list[_Token]):
-        self._tokens = tokens
-        self._pos = 0
+def _position(text: str, offset: int) -> tuple[int, int]:
+    r"""1-based line and column of ``offset``: lines end at ``\n`` only."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
-    def peek(self) -> _Token | None:
-        return self._tokens[self._pos] if self._pos < len(self._tokens) else None
 
-    def next(self, expected: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            last = self._tokens[-1] if self._tokens else _Token("", 1, 1)
-            raise ParseError(
-                f"unexpected end of input (expected {expected or 'more input'})",
-                last.line, last.column + len(last.text),
-            )
-        if expected is not None and tok.text != expected:
-            raise ParseError(f"expected {expected!r}, found {tok.text!r}", tok.line, tok.column)
-        self._pos += 1
-        return tok
-
-    def next_name(self) -> _Token:
-        tok = self.next()
-        if not _NAME_RE.fullmatch(tok.text):
-            raise ParseError(f"expected a name, found {tok.text!r}", tok.line, tok.column)
-        return tok
+def _syntax_error(text: str, start: int) -> ParseError:
+    """The error of a text whose statements scan up to offset ``start``
+    but not beyond: the first character that starts no token, else the
+    first token of the next statement that breaks its shape, else the end
+    of the text."""
+    bad = _LEXEMES.match(text, start).end()
+    if bad < len(text):
+        return ParseError(f"unexpected character {text[bad]!r}", *_position(text, bad))
+    tokens = [m for m in _TOKEN.finditer(text, start) if m[1]]
+    head = tokens[0]
+    if head[1] not in _SHAPES:
+        return ParseError(f"expected 'arg', 'att' or 'supp', found {head[1]!r}",
+                          *_position(text, head.start()))
+    for i, want in enumerate(_SHAPES[head[1]], 1):
+        if i == len(tokens):
+            expected = "more input" if want == "N" else want
+            return ParseError(f"unexpected end of input (expected {expected})",
+                              *_position(text, tokens[-1].end()))
+        found = tokens[i][1]
+        if want == "N" and not _NAME_RE.fullmatch(found):
+            return ParseError(f"expected a name, found {found!r}",
+                              *_position(text, tokens[i].start()))
+        if want != "N" and found != want:
+            return ParseError(f"expected {want!r}, found {found!r}",
+                              *_position(text, tokens[i].start()))
+    raise AssertionError(f"the statement at offset {start} scans")
 
 
 def parse(text: str) -> HAFS:
@@ -386,54 +387,39 @@ def parse(text: str) -> HAFS:
     References are resolved after a full pass, so statements may refer to
     relations declared later in the text.
     """
-    stream = _TokenStream(_tokenize(text))
-    # (head, name, src, tgt, position)
-    statements: list[tuple[str, str, str | None, str | None, _Token]] = []
-    while stream.peek() is not None:
-        head = stream.next()
-        if head.text not in ("arg", "att", "supp"):
-            raise ParseError(
-                f"expected 'arg', 'att' or 'supp', found {head.text!r}", head.line, head.column
-            )
-        stream.next("(")
-        name = stream.next_name()
-        src = tgt = None
-        if head.text in ("att", "supp"):
-            stream.next(",")
-            src = stream.next_name()
-            stream.next(",")
-            tgt = stream.next_name()
-        stream.next(")")
-        stream.next(".")
-        statements.append((head.text, name.text,
-                           src.text if src else None,
-                           tgt.text if tgt else None, head))
+    statements = []
+    pos = 0
+    while m := _STATEMENT.match(text, pos):
+        statements.append(m)
+        pos = m.end()
+    if not _BLANK.match(text, pos):
+        raise _syntax_error(text, pos)
+
+    def invalid(m, message: str) -> ValidationError:
+        line, column = _position(text, m.start(1))
+        return ValidationError(f"{line}:{column}: {message}")
 
     declared: dict[str, ElementId] = {}
-    for head, name, _, _, pos in statements:
+    for m in statements:
+        head, _, name, _, _ = m.groups()
         if name in declared:
-            raise ValidationError(f"{pos.line}:{pos.column}: duplicate name {name!r}")
-        declared[name] = ElementId(Kind(head), name)
-
-    def resolve(name: str, pos: _Token) -> ElementId:
-        if name not in declared:
-            raise ValidationError(f"{pos.line}:{pos.column}: dangling reference {name!r}")
-        return declared[name]
+            raise invalid(m, f"duplicate name {name!r}")
+        declared[name] = ElementId(_KINDS[head], name)
 
     args, atts, supps = [], [], []
-    for head, name, src, tgt, pos in statements:
+    for m in statements:
+        _, relation, name, src, tgt = m.groups()
         eid = declared[name]
-        if head == "arg":
+        if relation is None:
             args.append(eid)
             continue
-        source = resolve(src, pos)
-        target = resolve(tgt, pos)
-        if source == eid or target == eid:
-            raise ValidationError(
-                f"{pos.line}:{pos.column}: relation {name!r} references itself"
-            )
-        rel = Relation(eid, source, target)
-        (atts if head == "att" else supps).append(rel)
+        for ref in (src, tgt):
+            if ref not in declared:
+                raise invalid(m, f"dangling reference {ref!r}")
+        source, target = declared[src], declared[tgt]
+        if source is eid or target is eid:
+            raise invalid(m, f"relation {name!r} references itself")
+        (atts if relation == "att" else supps).append(Relation(eid, source, target))
     return HAFS(args, atts, supps)
 
 

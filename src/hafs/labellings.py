@@ -143,9 +143,19 @@ def select_labellings(h: HAFS, labellings: Iterable[Labelling3],
                       semantics: Semantics) -> tuple[Labelling3, ...]:
     """Refine the full family of labellings by core comparison.
 
-    grounded: labellings whose core is contained in every other core
-    (empty when no such least core exists); preferred: core is maximal;
-    stable: preferred with every non-core element labelled 0.
+    grounded: labellings whose core is contained in every other core;
+    preferred: core is maximal; stable: preferred with every non-core
+    element labelled 0.
+
+    On the full family the grounded selection is never empty.  The
+    labellings are the fixpoints of the map Γ that labels each element by
+    its conditions, Γ(x)_a = the Kleene min over its attack pairs of
+    1 − min(b, r) and over its support pairs of 1 − min(1 − c, t).  Kleene
+    min and 1 − x are monotone in the information order (1/2 below 0 and
+    1), so Γ is, and iterating it from all-1/2 reaches its least fixpoint
+    F.  Every labelling lies above F, so keeps the 1s of F: the core of F
+    is the least core.  Only a caller that passes part of the family can
+    get ``()``.
     """
     pool = tuple(labellings)
     cores = [lab.core for lab in pool]

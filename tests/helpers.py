@@ -6,18 +6,22 @@ models and the EQ_* grid verdicts by unpruned scalar sweeps through
 ``evaluate`` and ``is_exact_solution``, extension families by an
 unpruned subset scan through ``classify_set``, defeat pairs by a
 least-fixpoint recursion, equation right-hand sides by the closed forms,
-and support acyclicity by Kahn's algorithm.
+support acyclicity by Kahn's algorithm, and framework text by a
+character-by-character tokenizer and a token-stream parser.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import re
+from dataclasses import dataclass
 from fractions import Fraction
 
-from hafs import (HAFS, L3, InfeasibleParametersError, Labelling3, LogicSystem,
-                  build_equations, classify_set, dft, encode_normal, evaluate,
-                  framework_digest, generate_random, is_adjacent_complete, serialize)
+from hafs import (HAFS, L3, ElementId, InfeasibleParametersError, Kind, Labelling3,
+                  LogicSystem, ParseError, Relation, ValidationError, build_equations,
+                  classify_set, dft, encode_normal, evaluate, framework_digest,
+                  generate_random, is_adjacent_complete, serialize)
 from hafs.bridge import FLOAT_RESIDUAL_TOL
 from hafs.labellings import THREE_VALUES
 
@@ -203,3 +207,132 @@ def all_subsets(universe):
     for size in range(len(universe) + 1):
         for combo in itertools.combinations(universe, size):
             yield frozenset(combo)
+
+
+# -- framework text ----------------------------------------------------------
+
+_NAME_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*")
+
+
+@dataclass
+class _Token:
+    text: str
+    line: int
+    column: int
+
+
+def _tokenize(text: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    line, col = 1, 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "%":
+            while i < len(text) and text[i] != "\n":
+                i += 1
+            continue
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            col += 1
+            i += 1
+            continue
+        if ch in "(),.":
+            tokens.append(_Token(ch, line, col))
+            col += 1
+            i += 1
+            continue
+        m = _NAME_RE.match(text, i)
+        if m:
+            tokens.append(_Token(m.group(), line, col))
+            col += len(m.group())
+            i = m.end()
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, col)
+    return tokens
+
+
+class _TokenStream:
+    def __init__(self, tokens: list[_Token]):
+        self._tokens = tokens
+        self._pos = 0
+
+    def peek(self) -> _Token | None:
+        return self._tokens[self._pos] if self._pos < len(self._tokens) else None
+
+    def next(self, expected: str | None = None) -> _Token:
+        tok = self.peek()
+        if tok is None:
+            last = self._tokens[-1] if self._tokens else _Token("", 1, 1)
+            raise ParseError(
+                f"unexpected end of input (expected {expected or 'more input'})",
+                last.line, last.column + len(last.text),
+            )
+        if expected is not None and tok.text != expected:
+            raise ParseError(f"expected {expected!r}, found {tok.text!r}", tok.line, tok.column)
+        self._pos += 1
+        return tok
+
+    def next_name(self) -> _Token:
+        tok = self.next()
+        if not _NAME_RE.fullmatch(tok.text):
+            raise ParseError(f"expected a name, found {tok.text!r}", tok.line, tok.column)
+        return tok
+
+
+def reference_parse(text: str) -> HAFS:
+    """Framework text read the slow way: every character is tokenized
+    first, so a lexical error anywhere wins; then statements are read off
+    a token stream, and names resolved once the whole text is read."""
+    stream = _TokenStream(_tokenize(text))
+    # (head, name, src, tgt, position)
+    statements: list[tuple[str, str, str | None, str | None, _Token]] = []
+    while stream.peek() is not None:
+        head = stream.next()
+        if head.text not in ("arg", "att", "supp"):
+            raise ParseError(
+                f"expected 'arg', 'att' or 'supp', found {head.text!r}", head.line, head.column
+            )
+        stream.next("(")
+        name = stream.next_name()
+        src = tgt = None
+        if head.text in ("att", "supp"):
+            stream.next(",")
+            src = stream.next_name()
+            stream.next(",")
+            tgt = stream.next_name()
+        stream.next(")")
+        stream.next(".")
+        statements.append((head.text, name.text,
+                           src.text if src else None,
+                           tgt.text if tgt else None, head))
+
+    declared: dict[str, ElementId] = {}
+    for head, name, _, _, pos in statements:
+        if name in declared:
+            raise ValidationError(f"{pos.line}:{pos.column}: duplicate name {name!r}")
+        declared[name] = ElementId(Kind(head), name)
+
+    def resolve(name: str, pos: _Token) -> ElementId:
+        if name not in declared:
+            raise ValidationError(f"{pos.line}:{pos.column}: dangling reference {name!r}")
+        return declared[name]
+
+    args, atts, supps = [], [], []
+    for head, name, src, tgt, pos in statements:
+        eid = declared[name]
+        if head == "arg":
+            args.append(eid)
+            continue
+        source = resolve(src, pos)
+        target = resolve(tgt, pos)
+        if source == eid or target == eid:
+            raise ValidationError(
+                f"{pos.line}:{pos.column}: relation {name!r} references itself"
+            )
+        rel = Relation(eid, source, target)
+        (atts if head == "att" else supps).append(rel)
+    return HAFS(args, atts, supps)

@@ -1,3 +1,10 @@
+import json
+import os
+import random
+import re
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,7 +13,9 @@ from hafs import (ElementId, HAFS, InfeasibleParametersError, ParseError,
                   Relation, SupportChain, ValidationError, argument, attack_id,
                   generate_random, is_support_acyclic, parse, serialize, support_id)
 
-from helpers import corpus, kahn_is_acyclic
+from helpers import corpus, kahn_is_acyclic, reference_parse
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 class TestElementId:
@@ -29,16 +38,15 @@ class TestElementId:
         assert argument("a") == argument("a")
 
     def test_hash_is_the_field_tuple_hash_after_pickling_elsewhere(self):
-        import os, pickle, subprocess, sys
+        import pickle
         eid = attack_id("r1")
         assert hash(eid) == hash((eid.kind, eid.name))
         # str hashes depend on the process's hash seed; a cached hash must not travel
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         dumped = subprocess.run(
             [sys.executable, "-c", "import pickle, sys; from hafs import attack_id; "
              "sys.stdout.buffer.write(pickle.dumps({attack_id('r1'): 1}))"],
             capture_output=True, check=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": "1"}).stdout
+            env={**os.environ, "PYTHONPATH": SRC, "PYTHONHASHSEED": "1"}).stdout
         assert pickle.loads(dumped)[eid] == 1
 
 
@@ -98,6 +106,136 @@ class TestParse:
     def test_truncated_input(self):
         with pytest.raises(ParseError):
             parse("arg(a")
+
+
+def outcome(parser, text):
+    """A parse result as comparable data: the framework and its canonical
+    text, or the error's type, message, line and column."""
+    try:
+        h = parser(text)
+    except (ParseError, ValidationError) as err:
+        return (type(err).__name__, str(err), getattr(err, "line", None),
+                getattr(err, "column", None))
+    return ("ok", h, serialize(h))
+
+
+# pieces that mutations insert: tokens, separators, comments and characters
+# that start no token
+PIECES = ("arg", "att", "supp", "(", ")", ",", ".", "a", "b", "r1", "t1", "x_2",
+          " ", "\t", "\n", "\r", "\r\n", "\u00a0", "\u2028", "% note\n", "%", "\u00e9", "!", "1", ";")
+
+FIXED_TEXTS = (
+    "",
+    "% a comment at the end of the text, with no newline",
+    "arg(a). % trailing",
+    "arg(a).\r\natt(r1,a,a).\r\n% done\r\n",
+    "arg(a).\r\rarg(b;",            # a lone \r does not end a line
+    "arg(a)\u00a0.\u2028arg(\u00a0b\u2028).",
+    "arg(a).\u2028att(r1,a,b",
+    "arg(a). att(r1,a,a). arg(\u00e9).",
+    "arg(a). arg(b)!",
+    "arg(a). att(r1,a).",            # a deleted token
+    "arg(a). att(r1,,a,a).",         # a duplicated token
+    "arg(a). att(r1,a,a)).",
+    "arg(a). (att r1,a,a).",         # swapped tokens
+    "arg(a). att(r1,a,a) .arg(b).",
+    "arg(a). att(r1,a,a) arg(b). ;",  # a lexical error after a grammar error
+    "arg(a",
+    "arg(a,",
+    "arg",
+    "att(r1,a,b)",
+    "att(r1,a,b)\n% the end\n",
+    "arg(1a).",
+    "arg(a).\n\n   bogus(x).",
+    "argx(a).",
+    "arg(a,b,c).",
+    "supp(t1,a,a,a).",
+    "arg(a). att(r1,a,zz). arg(a).",  # a duplicate name wins over a dangling one
+    "arg(a). att(r1,a,zz). att(r2,yy,a).",
+    "arg(a). att(r1,r1,a).",
+    "arg(a). att(r1,a,r2). att(r2,a,r1).",
+    "arg(b" + "%" * 64 + "\n!",
+)
+
+
+def mutate(text: str, edits) -> str:
+    """``text`` with each (operation, index, index, piece) edit applied to
+    its token-level pieces."""
+    pieces = re.findall(r"[a-zA-Z_][a-zA-Z0-9_]*|\s+|%[^\n]*|.", text)
+    for op, i, j, piece in edits:
+        if not pieces:
+            pieces = [piece]
+            continue
+        i, j = i % len(pieces), j % len(pieces)
+        if op == "delete":
+            del pieces[i]
+        elif op == "duplicate":
+            pieces.insert(i, pieces[i])
+        elif op == "swap":
+            pieces[i], pieces[j] = pieces[j], pieces[i]
+        else:
+            pieces.insert(i, piece)
+    return "".join(pieces)
+
+
+def noisy_text(h, rng: random.Random) -> str:
+    r"""``serialize(h)`` with shuffled lines, comments and ``\r\n`` line ends."""
+    lines = serialize(h).splitlines()
+    rng.shuffle(lines)
+    return "".join(line + rng.choice(("", " % c", "\t%%")) + rng.choice(("\n", "\r\n"))
+                   for line in lines)
+
+
+MUTATION_BASES = [noisy_text(h, random.Random(i)) for i, (h, _) in enumerate(corpus(30, seed_base=4100))]
+EDITS = st.lists(st.tuples(st.sampled_from(("delete", "duplicate", "swap", "insert")),
+                           st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+                           st.sampled_from(PIECES)), max_size=4)
+
+
+class TestParseAgainstOracle:
+    @pytest.mark.parametrize("text", FIXED_TEXTS)
+    def test_fixed_cases(self, text):
+        assert outcome(parse, text) == outcome(reference_parse, text)
+
+    @given(base=st.sampled_from(MUTATION_BASES), edits=EDITS)
+    def test_mutated_texts(self, base, edits):
+        text = mutate(base, edits)
+        assert outcome(parse, text) == outcome(reference_parse, text)
+
+    @given(st.lists(st.sampled_from(PIECES), max_size=30))
+    def test_piece_soup(self, pieces):
+        text = "".join(pieces)
+        assert outcome(parse, text) == outcome(reference_parse, text)
+
+    def test_mutation_corpus(self):
+        rng = random.Random(7)
+        for base in MUTATION_BASES:
+            for _ in range(40):
+                edits = [(rng.choice(("delete", "duplicate", "swap", "insert")),
+                          rng.randrange(10 ** 6), rng.randrange(10 ** 6), rng.choice(PIECES))
+                         for _ in range(rng.randint(1, 3))]
+                text = mutate(base, edits)
+                assert outcome(parse, text) == outcome(reference_parse, text), text
+
+    def test_generated_corpus(self):
+        for i, (h, _) in enumerate(corpus(1000)):
+            text = noisy_text(h, random.Random(i))
+            assert outcome(parse, text) == outcome(reference_parse, text) == ("ok", h, serialize(h))
+
+    def test_no_backtracking_on_comment_and_whitespace_runs(self):
+        # a pattern that backtracks on these would not finish in time
+        texts = ["arg(b" + "%" * 64 + "\n!", "arg(a)." + " " * 10_000 + "!",
+                 "arg(a" + "\u2028" * 10_000 + "!"]
+        script = ("import json, sys\nfrom hafs import ParseError, parse\nout = []\n"
+                  "for text in json.load(sys.stdin):\n"
+                  "    try:\n        parse(text)\n"
+                  "    except ParseError as err:\n        out.append([str(err), err.line, err.column])\n"
+                  "json.dump(out, sys.stdout)")
+        done = subprocess.run([sys.executable, "-c", script], input=json.dumps(texts),
+                              capture_output=True, check=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": SRC})
+        expected = [list(outcome(reference_parse, text)[1:]) for text in texts]
+        assert json.loads(done.stdout) == expected
 
 
 class TestSerialize:

@@ -179,3 +179,9 @@ class TestSelect:
             lab(arg_a=0, arg_b=1, att_r1=1, att_r2=1),
         )
         assert select_labellings(mutual_attack, family, "grounded") == ()
+
+    def test_grounded_nonempty_on_the_full_family(self):
+        # the least fixpoint of the labelling map has the least core
+        for h, _ in corpus(200, max_u=10):
+            family = enumerate_adjacent_complete(h)
+            assert select_labellings(h, family, "grounded"), hafs.serialize(h)
