@@ -16,17 +16,18 @@ from collections.abc import Mapping
 from fractions import Fraction
 import numpy as np
 
-from .equations import (EquationSystem, build_equations, enumerate_ternary_solutions,
-                        solve_fixed_point)
+from .equations import (Equation, EquationSystem, _equation_variables, _exact, _le,
+                        _neg_q, _quarter_columns, _reduced, _solution_mask, _TNORMS_Q,
+                        build_equations, enumerate_ternary_solutions, solve_fixed_point)
 from .errors import PreconditionError, SizeBoundError, ValidationError
 from .extensions import enumerate_extensions, extension_derived_labelling
 from .framework import HAFS, is_support_acyclic, serialize
-from .labellings import HALF, ONE, THREE_VALUES, ZERO, Labelling3, \
-    enumerate_adjacent_complete, grid_codes, is_adjacent_complete
+from .labellings import HALF, ONE, THREE_VALUES, ZERO, Labelling3, _by_level, _frontier, \
+    _survivors, _three_valued, enumerate_adjacent_complete, is_adjacent_complete
 from .limits import DEFAULT_LABELLING_BOUND, universe_bound
 from .logic import And, Assignment, Formula, GODEL, L3, LogicSystem, LUKASIEWICZ, PRODUCT, \
-    _Ops, _fold, _impl_godel, _impl_lukasiewicz, _impl_product, _tnorm_lukasiewicz, \
-    _tnorm_min, _tnorm_product, compile_evaluator, encode_normal, get_logic, variables
+    _Ops, _fold, _impl_godel, _impl_lukasiewicz, _impl_product, compile_evaluator, \
+    encode_normal, get_logic, variables
 
 FLOAT_TERNARIZE_TOL = 1e-6
 FLOAT_RESIDUAL_TOL = 1e-12
@@ -68,85 +69,12 @@ def embed(labelling: Labelling3) -> Assignment:
     return Assignment(dict(labelling))
 
 
-# -- frontier sweep --------------------------------------------------------------
-#
-# The encoded formula is a conjunction, and a conjunction takes the top value
-# exactly when every conjunct does: under min, and under every built-in
-# t-norm, which lies below min.  An equation system holds exactly when each
-# of its equations does.  So the grid sweeps assign the universe in order, a
-# few elements at a time, and test each conjunct or equation once its last
-# variable is assigned; a partial row that fails is dropped with every row
-# that extends it.  Rows extend in lexicographic order, so the survivors come
-# out in the order of the full grid.  The sampled EQ_* rows are drawn whole and
-# then tested level by level in the same way.
-
-_FRONTIER_STEP = 2 ** 8  # a step adds columns while the chunk stays this small
-_FRONTIER_ROWS = 2 ** 14  # partial rows held per chunk
+# -- three-valued model enumeration ------------------------------------------
 
 
 def _conjuncts(formula: Formula) -> tuple[Formula, ...]:
     return formula.children if isinstance(formula, And) else (formula,)
 
-
-def _by_level(order, items, variables_of) -> list[list]:
-    """``items`` by level: level k holds those whose last variable in
-    ``order`` is the k-th, level 0 those without variables."""
-    position = {e: j for j, e in enumerate(order)}
-    levels: list[list] = [[] for _ in range(len(order) + 1)]
-    for item in items:
-        levels[max((position[e] + 1 for e in variables_of(item)), default=0)].append(item)
-    return levels
-
-
-def _survivors(check, codes, alive, levels):
-    """``codes`` and ``alive`` after ``check(codes, levels)``: ``alive`` is
-    and-ed with what it returns, and the rows on which no side holds any
-    more are dropped."""
-    holds = check(codes, levels)
-    if holds is None:
-        return codes, alive
-    alive = alive & holds
-    keep = alive.any(axis=1)
-    return codes[keep], alive[keep]
-
-
-def _frontier(width: int, base: int, sides: int, check):
-    """Rows of the base-``base`` grid over ``width`` columns on which some
-    side still holds, in grid order, as (codes, alive) chunks.
-
-    Each step extends a chunk of at most ``_FRONTIER_ROWS`` partial rows,
-    depth-first so that memory stays bounded, by one column, or by more
-    while the result stays within ``_FRONTIER_STEP`` rows.  Then
-    ``check(codes, levels)`` tests the rows against the checks of the
-    levels just completed, per row and side, in an array that broadcasts
-    to (rows, sides), or returns None when there are none; ``alive`` is
-    the conjunction of these over all levels so far.  A row is dropped
-    once no side holds.
-    """
-    stack = [_survivors(check, np.zeros((1, 0), dtype=np.int8),
-                        np.ones((1, sides), dtype=bool), range(1))]
-    while stack:
-        codes, alive = stack.pop()
-        rows, k = codes.shape
-        if not rows:
-            continue
-        if k == width:
-            yield codes, alive
-            continue
-        step = 1
-        while k + step < width and rows * base ** (step + 1) <= _FRONTIER_STEP:
-            step += 1
-        block = grid_codes(step, base, 0, base ** step)
-        grown = np.empty((rows * len(block), k + step), dtype=np.int8, order="F")
-        grown[:, :k] = np.repeat(codes, len(block), axis=0)
-        grown[:, k:] = np.tile(block, (rows, 1))
-        codes, alive = _survivors(check, grown, np.repeat(alive, len(block), axis=0),
-                                  range(k + 1, k + step + 1))
-        stack.extend((codes[s:s + _FRONTIER_ROWS], alive[s:s + _FRONTIER_ROWS])
-                     for s in reversed(range(0, len(codes), _FRONTIER_ROWS)))
-
-
-# -- three-valued model enumeration ------------------------------------------
 
 _THREE_FLOATS = np.array([float(v) for v in THREE_VALUES])
 
@@ -172,22 +100,14 @@ def enumerate_pl3_models(h: HAFS, bound: int | None = None) -> tuple[Labelling3,
     levels = [[compile_evaluator(c, L3) for c in level]
               for level in _by_level(order, _conjuncts(encode_normal(h)), variables)]
 
-    def check(codes, step):
-        conjuncts = [c for k in step for c in levels[k]]
-        if not conjuncts:
-            return None
+    def check(codes, conjuncts):
         values = _THREE_FLOATS[codes]
         columns = {e: values[:, j] for j, e in enumerate(order[:codes.shape[1]])}
         holds = np.ones(len(codes), dtype=bool)
         for conjunct in conjuncts:
             holds &= conjunct(columns) == 1.0
         return holds[:, None]
-
-    models: list[Labelling3] = []
-    for codes, _ in _frontier(n, 3, 1, check):
-        for row in codes.tolist():
-            models.append(Labelling3(zip(order, [THREE_VALUES[k] for k in row])))
-    return tuple(models)
+    return _three_valued(Labelling3, order, levels, check)
 
 
 # -- verification reports ------------------------------------------------------
@@ -285,56 +205,8 @@ def _check_pl3_models(h: HAFS, bound: int) -> VerificationReport:
 
 
 # -- exact quarter-grid sweep ---------------------------------------------------
-#
-# Grid values are k/4 for codes k = 0..4.  A chunk of grid rows holds each
-# element's value as a pair of integer arrays (numerator, denominator) with
-# positive denominators; products and quotients are reduced by their gcd.
-# Values lie in [0, 1], so while every denominator stays below 2^31 the
-# product of any two numerators or denominators fits in int64.  A chunk that
-# leaves that range is recomputed on Python ints (dtype=object) through the
-# same kernels.
 
 _EQ_CHUNK_ROWS = 2 ** 14
-_INT64_SAFE = 2 ** 31
-_QUARTER_NUM = np.array([0, 1, 1, 3, 1], dtype=np.int64)
-_QUARTER_DEN = np.array([1, 4, 2, 4, 1], dtype=np.int64)
-
-
-class _TooWide(Exception):
-    """An int64 chunk produced a denominator of 2^31 or more."""
-
-
-def _reduced(num, den):
-    if not den.size:
-        return num, den
-    g = np.gcd(num, den)
-    num, den = num // g, den // g
-    if den.dtype != object and int(den.max()) >= _INT64_SAFE:
-        raise _TooWide
-    return num, den
-
-
-def _le(x, y):
-    return x[0] * y[1] <= y[0] * x[1]
-
-
-def _neg_q(x):
-    return x[1] - x[0], x[1]
-
-
-def _tnorm_min_q(x, y):
-    keep = _le(x, y)
-    return np.where(keep, x[0], y[0]), np.where(keep, x[1], y[1])
-
-
-def _tnorm_product_q(x, y):
-    return _reduced(x[0] * y[0], x[1] * y[1])
-
-
-def _tnorm_lukasiewicz_q(x, y):
-    # (x - 1) + y: two terms of opposite sign, each of magnitude below 2^62
-    num = (x[0] - x[1]) * y[1] + y[0] * x[1]
-    return _reduced(np.maximum(num, 0), x[1] * y[1])
 
 
 def _impl_godel_q(m, n):
@@ -355,25 +227,9 @@ def _impl_lukasiewicz_q(m, n):
     return _reduced(np.where(cap, 1, num), np.where(cap, 1, den))
 
 
-# keyed by the built-in operators; every built-in negation is 1 - x
-_TNORMS_Q = {_tnorm_min: _tnorm_min_q, _tnorm_product: _tnorm_product_q,
-             _tnorm_lukasiewicz: _tnorm_lukasiewicz_q}
+# keyed by the built-in implications
 _IMPLICATIONS_Q = {_impl_godel: _impl_godel_q, _impl_product: _impl_product_q,
                    _impl_lukasiewicz: _impl_lukasiewicz_q}
-
-
-def _fold_q(tnorm, terms, one):
-    """t-norm fold of ``terms``; the empty fold is 1."""
-    acc = None
-    for term in terms:
-        acc = term if acc is None else tnorm(acc, term)
-    return (one, one) if acc is None else acc
-
-
-def _quarter_columns(positions, codes: np.ndarray, dtype) -> dict:
-    """Exact values of the elements at (column, element) ``positions``."""
-    num, den = _QUARTER_NUM.astype(dtype), _QUARTER_DEN.astype(dtype)
-    return {e: (num[codes[:, j]], den[codes[:, j]]) for j, e in positions}
 
 
 def _exact_ops(logic: LogicSystem, one: np.ndarray) -> _Ops:
@@ -381,22 +237,6 @@ def _exact_ops(logic: LogicSystem, one: np.ndarray) -> _Ops:
     on chunks of ``len(one)`` rows; disjunction is not interpreted."""
     return _Ops(logic.name, (one, one), (np.zeros_like(one), one), _neg_q,
                 _TNORMS_Q[logic.tnorm], None, _IMPLICATIONS_Q[logic.implication])
-
-
-def _solution_mask(equations, logic: LogicSystem, columns: dict,
-                   one: np.ndarray) -> np.ndarray:
-    """Rows of a chunk on which each of ``equations`` holds: its element
-    equals the fold of its incoming pairs."""
-    tnorm = _TNORMS_Q[logic.tnorm]
-    mask = np.ones(len(one), dtype=bool)
-    for eq in equations:
-        terms = [_neg_q(tnorm(columns[b], columns[r])) for b, r in eq.attacker_pairs]
-        terms += [_neg_q(tnorm(_neg_q(columns[c]), columns[t]))
-                  for c, t in eq.supporter_pairs]
-        num, den = _fold_q(tnorm, terms, one)
-        value = columns[eq.element]
-        mask &= value[0] * den == num * value[1]
-    return mask
 
 
 def _grid_verdicts(formulas, equations, logic: LogicSystem, positions,
@@ -413,36 +253,24 @@ def _grid_verdicts(formulas, equations, logic: LogicSystem, positions,
     return model, _solution_mask(equations, logic, columns, one)
 
 
-def _quarter_verdicts(formulas, equations, logic: LogicSystem, positions,
-                      codes: np.ndarray):
-    """:func:`_grid_verdicts` on int64, or on Python ints where that is too narrow."""
-    try:
-        return _grid_verdicts(formulas, equations, logic, positions, codes, np.int64)
-    except _TooWide:
-        return _grid_verdicts(formulas, equations, logic, positions, codes, object)
-
-
-def _equation_variables(eq) -> set:
-    return {eq.element}.union(*eq.attacker_pairs, *eq.supporter_pairs)
-
-
 def _level_check(formula: Formula, system: EquationSystem):
-    """``check(codes, levels)`` for :func:`_survivors`: the (rows, 2) model
-    and solution verdicts of the conjuncts and the equations at ``levels``,
-    each grouped by its own variables, on rows whose first
-    ``levels[-1]`` columns are assigned; None where there are none."""
+    """(levels, check) for :func:`_frontier`: the conjuncts and the
+    equations by level, each grouped by its own variables and paired with
+    its level, and their (rows, 2) model and solution verdicts, read from
+    the columns up to the highest level tested."""
     order = system.universe
-    formulas = _by_level(order, _conjuncts(formula), variables)
-    equations = _by_level(order, system.equations, _equation_variables)
+    levels = _by_level(order, _conjuncts(formula) + system.equations,
+                       lambda x: _equation_variables(x) if isinstance(x, Equation)
+                       else variables(x))
+    levels = [[(k, x) for x in level] for k, level in enumerate(levels)]
 
-    def check(codes, levels):
-        fs = [f for k in levels for f in formulas[k]]
-        eqs = [eq for k in levels for eq in equations[k]]
-        if not fs and not eqs:
-            return None
-        positions = list(enumerate(order[:levels[-1]]))
-        return np.column_stack(_quarter_verdicts(fs, eqs, system.logic, positions, codes))
-    return check
+    def check(codes, items):
+        fs = [x for _, x in items if not isinstance(x, Equation)]
+        eqs = [x for _, x in items if isinstance(x, Equation)]
+        positions = list(enumerate(order[:max(k for k, _ in items)]))
+        return np.column_stack(_exact(_grid_verdicts, fs, eqs, system.logic, positions,
+                                      codes))
+    return levels, check
 
 
 def _exhaustive_verdicts(formula: Formula, system: EquationSystem):
@@ -453,8 +281,8 @@ def _exhaustive_verdicts(formula: Formula, system: EquationSystem):
     equation by equation; a partial row is dropped only once both sides
     have failed on it, so every row on which the two disagree comes out.
     """
-    check = _level_check(formula, system)
-    for codes, alive in _frontier(len(system.universe), 5, 2, check):
+    levels, check = _level_check(formula, system)
+    for codes, alive in _frontier(len(system.universe), 5, 2, levels, check):
         yield codes, alive[:, 0], alive[:, 1]
 
 
@@ -494,7 +322,7 @@ def _sampled_verdicts(formula: Formula, system: EquationSystem, rng: random.Rand
     tests its partial rows, and a row is dropped once both sides have
     failed on it; the rows kept stay in the order drawn.
     """
-    check = _level_check(formula, system)
+    levels, check = _level_check(formula, system)
     n = len(system.universe)
     for start in range(0, rows, _EQ_CHUNK_ROWS):
         count = min(_EQ_CHUNK_ROWS, rows - start)
@@ -503,7 +331,7 @@ def _sampled_verdicts(formula: Formula, system: EquationSystem, rng: random.Rand
         for k in range(n + 1):
             if not len(codes):
                 break
-            codes, alive = _survivors(check, codes, alive, range(k, k + 1))
+            codes, alive = _survivors(check, codes, alive, levels[k])
         yield codes, alive[:, 0], alive[:, 1]
 
 

@@ -107,7 +107,7 @@ def _read_framework(path: str, stdin) -> framework.HAFS:
         text = stdin.read()
     else:
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8", newline="") as fh:
                 text = fh.read()
         except OSError as exc:
             raise _UsageError(f"cannot read {path}: {exc}") from None

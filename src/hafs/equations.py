@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import PreconditionError, SizeBoundError, ValidationError
 from .framework import HAFS, ElementId, Incidence
-from .labellings import ONE, THREE_VALUES
+from .labellings import _by_level, _three_valued
 from .limits import DEFAULT_TERNARY_BOUND, universe_bound
 from .logic import (Assignment, LogicSystem, _standard_negation, _tnorm_lukasiewicz,
                     _tnorm_min, _tnorm_product)
@@ -530,25 +530,127 @@ def _snap(apply, x: list[float], gap: float, tolerance: float) -> tuple[list[flo
     return x, gap
 
 
+# -- exact kernels ---------------------------------------------------------------
+#
+# Grid values are k/4 for codes k = 0..4.  A chunk of grid rows holds each
+# element's value as a pair of integer arrays (numerator, denominator) with
+# positive denominators; products and quotients are reduced by their gcd.
+# Values lie in [0, 1], so while every denominator stays below 2^31 the
+# product of any two numerators or denominators fits in int64.  A chunk that
+# leaves that range is recomputed on Python ints (dtype=object) through the
+# same kernels.
+
+_INT64_SAFE = 2 ** 31
+_QUARTER_NUM = np.array([0, 1, 1, 3, 1], dtype=np.int64)
+_QUARTER_DEN = np.array([1, 4, 2, 4, 1], dtype=np.int64)
+
+
+class _TooWide(Exception):
+    """An int64 chunk produced a denominator of 2^31 or more."""
+
+
+def _exact(kernel, *args):
+    """``kernel(*args, dtype)`` on int64, or on Python ints where that is too narrow."""
+    try:
+        return kernel(*args, np.int64)
+    except _TooWide:
+        return kernel(*args, object)
+
+
+def _reduced(num, den):
+    if not den.size:
+        return num, den
+    g = np.gcd(num, den)
+    num, den = num // g, den // g
+    if den.dtype != object and int(den.max()) >= _INT64_SAFE:
+        raise _TooWide
+    return num, den
+
+
+def _le(x, y):
+    return x[0] * y[1] <= y[0] * x[1]
+
+
+def _neg_q(x):
+    return x[1] - x[0], x[1]
+
+
+def _tnorm_min_q(x, y):
+    keep = _le(x, y)
+    return np.where(keep, x[0], y[0]), np.where(keep, x[1], y[1])
+
+
+def _tnorm_product_q(x, y):
+    return _reduced(x[0] * y[0], x[1] * y[1])
+
+
+def _tnorm_lukasiewicz_q(x, y):
+    # (x - 1) + y: two terms of opposite sign, each of magnitude below 2^62
+    num = (x[0] - x[1]) * y[1] + y[0] * x[1]
+    return _reduced(np.maximum(num, 0), x[1] * y[1])
+
+
+# keyed by the built-in t-norms; every built-in negation is 1 - x
+_TNORMS_Q = {_tnorm_min: _tnorm_min_q, _tnorm_product: _tnorm_product_q,
+             _tnorm_lukasiewicz: _tnorm_lukasiewicz_q}
+
+
+def _fold_q(tnorm, terms, one):
+    """t-norm fold of ``terms``; the empty fold is 1."""
+    acc = None
+    for term in terms:
+        acc = term if acc is None else tnorm(acc, term)
+    return (one, one) if acc is None else acc
+
+
+def _quarter_columns(positions, codes: np.ndarray, dtype) -> dict:
+    """Exact values of the elements at (column, element) ``positions``."""
+    num, den = _QUARTER_NUM.astype(dtype), _QUARTER_DEN.astype(dtype)
+    return {e: (num[codes[:, j]], den[codes[:, j]]) for j, e in positions}
+
+
+def _solution_mask(equations, logic: LogicSystem, columns: dict,
+                   one: np.ndarray) -> np.ndarray:
+    """Rows of a chunk on which each of ``equations`` holds: its element
+    equals the fold of its incoming pairs."""
+    tnorm = _TNORMS_Q[logic.tnorm]
+    mask = np.ones(len(one), dtype=bool)
+    for eq in equations:
+        terms = [_neg_q(tnorm(columns[b], columns[r])) for b, r in eq.attacker_pairs]
+        terms += [_neg_q(tnorm(_neg_q(columns[c]), columns[t]))
+                  for c, t in eq.supporter_pairs]
+        num, den = _fold_q(tnorm, terms, one)
+        value = columns[eq.element]
+        mask &= value[0] * den == num * value[1]
+    return mask
+
+
+def _equation_variables(eq) -> set:
+    return {eq.element}.union(*eq.attacker_pairs, *eq.supporter_pairs)
+
+
 def enumerate_ternary_solutions(system: EquationSystem,
                                 bound: int | None = None) -> tuple[Assignment, ...]:
-    """All exact solutions over the {0, 1/2, 1} grid, in rational arithmetic.
+    """All exact solutions over the {0, 1/2, 1} grid, in grid order.
 
-    Elements with no incoming edges have right-hand side 1 and are forced
-    to 1 up front; the rest are enumerated lexicographically with value
-    order 0 < 1/2 < 1.
+    Frontier sweep (:func:`hafs.labellings._frontier`) that tests each
+    equation with the exact kernels on quarter codes 0, 2 and 4; the order
+    is lexicographic with value order 0 < 1/2 < 1.  Only the built-in
+    t-norms under the negation 1 - x have these kernels; any other logic
+    raises :class:`PreconditionError`.
     """
     limit = bound if bound is not None else universe_bound(DEFAULT_TERNARY_BOUND)
-    order = system.universe
+    logic, order = system.logic, system.universe
     n = len(order)
     if n > limit:
         raise SizeBoundError(f"universe has {n} elements, bound is {limit}")
+    if logic.tnorm not in _TNORMS_Q or logic.negation is not _standard_negation:
+        raise PreconditionError(f"logic {logic.name} has no exact kernel")
 
-    free = [order[i] for i in system.framework.incidence.free]
-    found = []
-    for combo in itertools.product(THREE_VALUES, repeat=len(free)):
-        values = dict.fromkeys(order, ONE)
-        values.update(zip(free, combo))
-        if system.is_exact_solution(values):
-            found.append(Assignment(values))
-    return tuple(found)
+    def check(codes, equations):
+        def mask(dtype):
+            columns = _quarter_columns(enumerate(order[:codes.shape[1]]), 2 * codes, dtype)
+            return _solution_mask(equations, logic, columns, np.ones(len(codes), dtype=dtype))
+        return _exact(mask)[:, None]
+    return _three_valued(Assignment, order,
+                         _by_level(order, system.equations, _equation_variables), check)

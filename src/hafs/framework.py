@@ -300,11 +300,10 @@ class Incidence:
     pairs): the (attacker, attack) and (supporter, support) positions in
     the relation-id order of ``attackers_of``/``supporters_of``;
     ``outgoing_supports[i]`` lists the (target, support) positions of the
-    supports leaving ``i``.  ``free`` holds the positions with an incoming
-    edge, in order.
+    supports leaving ``i``.
     """
 
-    __slots__ = ("position", "incoming", "outgoing_supports", "free")
+    __slots__ = ("position", "incoming", "outgoing_supports")
 
     def __init__(self, h: HAFS):
         position = {x: i for i, x in enumerate(h.universe)}
@@ -323,7 +322,6 @@ class Incidence:
             outgoing[c].append((x, t))
         self.incoming = tuple(zip(map(tuple, attacks), map(tuple, supports)))
         self.outgoing_supports = tuple(map(tuple, outgoing))
-        self.free = tuple(i for i, (att, supp) in enumerate(self.incoming) if att or supp)
 
 
 # -- parsing ---------------------------------------------------------------

@@ -25,20 +25,94 @@ ZERO, HALF, ONE = THREE_VALUES
 
 Semantics = Literal["grounded", "preferred", "stable"]
 
-# rows of the enumeration grids are swept this many at a time
-CHUNK_ROWS = 3 ** 12
+
+def grid_codes(width: int, base: int) -> np.ndarray:
+    """Base-``base`` digits of all ``base ** width`` grid rows in order,
+    first column most significant; column-major, so each column is
+    contiguous.  Three-valued grids use base 3, code k standing for
+    ``THREE_VALUES[k]``."""
+    return np.indices((base,) * width, dtype=np.int8).reshape(width, base ** width).T
 
 
-def grid_codes(width: int, base: int, start: int, stop: int) -> np.ndarray:
-    """Base-``base`` digits of grid rows ``start..stop``, first column most
-    significant; column-major, so each column is contiguous.  Three-valued
-    grids use base 3, code k standing for ``THREE_VALUES[k]``."""
-    rows = np.arange(start, stop, dtype=np.int64)
-    codes = np.empty((stop - start, width), dtype=np.int8, order="F")
-    for j in reversed(range(width)):
-        codes[:, j] = rows % base
-        rows //= base
-    return codes
+# -- frontier sweep --------------------------------------------------------------
+#
+# A labelling, like a solution of an equation system, is a row on which each
+# element's condition holds.  The encoded formula is a conjunction, which takes
+# the top value exactly when every conjunct does: under min, and under every
+# built-in t-norm, which lies below min.  So all four grid sweeps assign the
+# universe in order, a few elements at a time, and test each condition,
+# equation or conjunct once its last variable is assigned; a partial row that
+# fails is dropped with every row that extends it.  Rows extend in
+# lexicographic order, so the survivors come out in the order of the full
+# grid.  The sampled EQ_* rows are drawn whole and then tested level by level.
+
+_FRONTIER_STEP = 2 ** 8  # a step adds columns while the chunk stays this small
+_FRONTIER_ROWS = 2 ** 14  # partial rows held per chunk
+
+
+def _by_level(order, items, variables_of) -> list[list]:
+    """``items`` by level: level k holds those whose last variable in
+    ``order`` is the k-th, level 0 those without variables."""
+    position = {e: j for j, e in enumerate(order)}
+    levels: list[list] = [[] for _ in range(len(order) + 1)]
+    for item in items:
+        levels[max((position[e] + 1 for e in variables_of(item)), default=0)].append(item)
+    return levels
+
+
+def _survivors(check, codes, alive, items):
+    """``codes`` and ``alive`` after ``check(codes, items)``, unless there
+    are no ``items``: ``alive`` is and-ed with what it returns, and the rows
+    on which no side holds any more are dropped."""
+    if not items:
+        return codes, alive
+    alive = alive & check(codes, items)
+    keep = alive.any(axis=1)
+    return codes[keep], alive[keep]
+
+
+def _frontier(width: int, base: int, sides: int, levels, check):
+    """Rows of the base-``base`` grid over ``width`` columns on which some
+    side still holds, in grid order, as (codes, alive) chunks.
+
+    Each step extends a chunk of at most ``_FRONTIER_ROWS`` partial rows,
+    depth-first so that memory stays bounded, by one column, or by more
+    while the result stays within ``_FRONTIER_STEP`` rows.  Then
+    ``check(codes, items)`` tests the rows against the items of the
+    ``levels`` just completed (see :func:`_by_level`), per row and side,
+    in an array that broadcasts to (rows, sides); ``alive`` is the
+    conjunction of these over all levels so far.  A row is dropped once
+    no side holds.
+    """
+    stack = [_survivors(check, np.zeros((1, 0), dtype=np.int8),
+                        np.ones((1, sides), dtype=bool), levels[0])]
+    while stack:
+        codes, alive = stack.pop()
+        rows, k = codes.shape
+        if not rows:
+            continue
+        if k == width:
+            yield codes, alive
+            continue
+        step = 1
+        while k + step < width and rows * base ** (step + 1) <= _FRONTIER_STEP:
+            step += 1
+        block = grid_codes(step, base)
+        grown = np.empty((rows * len(block), k + step), dtype=np.int8, order="F")
+        grown[:, :k] = np.repeat(codes, len(block), axis=0)
+        grown[:, k:] = np.tile(block, (rows, 1))
+        codes, alive = _survivors(check, grown, np.repeat(alive, len(block), axis=0),
+                                  [x for level in levels[k + 1:k + step + 1] for x in level])
+        stack.extend((codes[s:s + _FRONTIER_ROWS], alive[s:s + _FRONTIER_ROWS])
+                     for s in reversed(range(0, len(codes), _FRONTIER_ROWS)))
+
+
+def _three_valued(make, order, levels, check) -> tuple:
+    """``make`` of each row of the {0, 1/2, 1} grid over ``order`` that
+    :func:`_frontier` keeps, read as (element, value) pairs, in grid order."""
+    return tuple(make(zip(order, [THREE_VALUES[k] for k in row]))
+                 for codes, _ in _frontier(len(order), 3, 1, levels, check)
+                 for row in codes.tolist())
 
 
 class Labelling3(Assignment):
@@ -99,44 +173,35 @@ def is_adjacent_complete(h: HAFS, labelling: Labelling3) -> bool:
 def enumerate_adjacent_complete(h: HAFS, bound: int | None = None) -> tuple[Labelling3, ...]:
     """All labellings satisfying the per-element conditions.
 
-    Exhaustive search over the 3^|U| grid with one sound pruning step:
-    elements without incoming edges are pre-forced to 1.  Output order is
-    lexicographic over elements sorted by id with value order 0 < 1/2 < 1.
+    Frontier sweep over the 3^|U| grid (:func:`_frontier`): a partial
+    labelling is dropped once an element whose incoming pairs are all
+    assigned breaks its condition.  Output order is lexicographic over
+    elements sorted by id with value order 0 < 1/2 < 1.
     """
     limit = bound if bound is not None else universe_bound(DEFAULT_LABELLING_BOUND)
     n = len(h.universe)
     if n > limit:
         raise SizeBoundError(f"universe has {n} elements, bound is {limit}")
 
-    view = h.incidence
-    # only elements with incoming edges vary; the rest must be 1
-    free = view.free
-    total = 3 ** len(free)
-    found: list[Labelling3] = []
-    for start in range(0, total, CHUNK_ROWS):
-        stop = min(start + CHUNK_ROWS, total)
-        grid = np.full((stop - start, n), 2, dtype=np.int8, order="F")
-        grid[:, free] = grid_codes(len(free), 3, start, stop)
+    incoming = h.incidence.incoming
+    levels = _by_level(range(n), range(n),
+                       lambda i: {i}.union(*incoming[i][0], *incoming[i][1]))
 
-        valid = np.ones(stop - start, dtype=bool)
-        for ia in free:
-            att, supp = view.incoming[ia]
-            cond_one = np.ones(stop - start, dtype=bool)
-            cond_zero = np.zeros(stop - start, dtype=bool)
+    def check(codes, elements):
+        valid = np.ones(len(codes), dtype=bool)
+        for ia in elements:
+            att, supp = incoming[ia]
+            cond_one, cond_zero = True, False
             for ib, ir in att:
-                cond_one &= (grid[:, ib] == 0) | (grid[:, ir] == 0)
-                cond_zero |= (grid[:, ib] == 2) & (grid[:, ir] == 2)
+                cond_one &= (codes[:, ib] == 0) | (codes[:, ir] == 0)
+                cond_zero |= (codes[:, ib] == 2) & (codes[:, ir] == 2)
             for ic, it in supp:
-                cond_one &= (grid[:, ic] == 2) | (grid[:, it] == 0)
-                cond_zero |= (grid[:, ic] == 0) & (grid[:, it] == 2)
+                cond_one &= (codes[:, ic] == 2) | (codes[:, it] == 0)
+                cond_zero |= (codes[:, ic] == 0) & (codes[:, it] == 2)
             expected = np.where(cond_one, 2, np.where(cond_zero, 0, 1))
-            valid &= grid[:, ia] == expected
-            if not valid.any():
-                break
-
-        for row in grid[valid].tolist():
-            found.append(Labelling3(zip(h.universe, [THREE_VALUES[k] for k in row])))
-    return tuple(found)
+            valid &= codes[:, ia] == expected
+        return valid[:, None]
+    return _three_valued(Labelling3, h.universe, levels, check)
 
 
 def select_labellings(h: HAFS, labellings: Iterable[Labelling3],

@@ -2,8 +2,9 @@
 
 The oracles deliberately avoid the production code paths they check:
 labelling enumeration is re-done by unpruned filtering, the three-valued
-models and the EQ_* grid verdicts by unpruned scalar sweeps through
-``evaluate`` and ``is_exact_solution``, extension families by an
+models, the exact {0, 1/2, 1} solutions and the EQ_* grid verdicts by
+unpruned scalar sweeps through ``evaluate``, ``residual`` and
+``is_exact_solution``, all in grid order, extension families by an
 unpruned subset scan through ``classify_set``, defeat pairs by a
 least-fixpoint recursion, equation right-hand sides by the closed forms,
 support acyclicity by Kahn's algorithm, and framework text by a
@@ -18,10 +19,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from hafs import (HAFS, L3, ElementId, InfeasibleParametersError, Kind, Labelling3,
-                  LogicSystem, ParseError, Relation, ValidationError, build_equations,
-                  classify_set, dft, encode_normal, evaluate, framework_digest,
-                  generate_random, is_adjacent_complete, serialize)
+from hafs import (HAFS, L3, Assignment, ElementId, EquationSystem, InfeasibleParametersError,
+                  Kind, Labelling3, LogicSystem, ParseError, Relation, ValidationError,
+                  build_equations, classify_set, dft, encode_normal, evaluate,
+                  framework_digest, generate_random, is_adjacent_complete, serialize)
 from hafs.bridge import FLOAT_RESIDUAL_TOL
 from hafs.labellings import THREE_VALUES
 
@@ -54,14 +55,26 @@ def corpus(count: int, max_u: int = 8, max_args: int = 4,
     return out
 
 
-def brute_force_labellings(h: HAFS) -> set[Labelling3]:
-    """Unpruned 3^|U| filter through the single-labelling check."""
-    found = set()
+def brute_force_labellings(h: HAFS) -> tuple[Labelling3, ...]:
+    """Unpruned 3^|U| filter through the single-labelling check, in grid
+    order."""
+    found = []
     for combo in itertools.product(THREE_VALUES, repeat=len(h.universe)):
         candidate = Labelling3(dict(zip(h.universe, combo)))
         if is_adjacent_complete(h, candidate):
-            found.add(candidate)
-    return found
+            found.append(candidate)
+    return tuple(found)
+
+
+def ternary_solutions(system: EquationSystem) -> tuple[Assignment, ...]:
+    """Unpruned 3^|U| sweep: every {0, 1/2, 1} assignment whose residual
+    is exactly 0, in grid order."""
+    found = []
+    for combo in itertools.product(THREE_VALUES, repeat=len(system.universe)):
+        point = dict(zip(system.universe, combo))
+        if system.residual(point) == 0:
+            found.append(Assignment(point))
+    return tuple(found)
 
 
 def pl3_models(h: HAFS) -> tuple[Labelling3, ...]:

@@ -12,7 +12,7 @@ from hafs import (Assignment, GODEL, LUKASIEWICZ, PRODUCT, PreconditionError,
                   is_model, support_id, ternarize, verify)
 from hafs import bridge
 from hafs.bridge import FLOAT_RESIDUAL_TOL, VerificationReport
-from hafs.equations import EquationSystem
+from hafs.equations import EquationSystem, _quarter_columns, _reduced, _solution_mask
 from hafs.labellings import HALF, ONE, THREE_VALUES, ZERO, grid_codes
 from hafs.logic import _fold
 
@@ -194,11 +194,11 @@ class TestExactGrid:
         for h, _ in self.FRAMEWORKS:
             formula = encode_normal(h)
             system = build_equations(h, logic)
-            codes = grid_codes(len(h), 5, 0, 5 ** len(h))
-            columns = bridge._quarter_columns(enumerate(h.universe), codes, dtype)
+            codes = grid_codes(len(h), 5)
+            columns = _quarter_columns(enumerate(h.universe), codes, dtype)
             one = np.ones(len(codes), dtype=dtype)
             num, den = _fold(formula, columns.__getitem__, bridge._exact_ops(logic, one))
-            mask = bridge._solution_mask(system.equations, logic, columns, one)
+            mask = _solution_mask(system.equations, logic, columns, one)
             for row, ks in enumerate(codes):
                 point = {e: Fraction(int(k), 4) for e, k in zip(h.universe, ks)}
                 value = Fraction(int(num[row]), int(den[row]))
@@ -208,7 +208,7 @@ class TestExactGrid:
 
     def test_reduced_passes_empty_chunks(self):
         for dtype in (np.int64, object):
-            num, den = bridge._reduced(np.zeros(0, dtype=dtype), np.zeros(0, dtype=dtype))
+            num, den = _reduced(np.zeros(0, dtype=dtype), np.zeros(0, dtype=dtype))
             assert num.shape == den.shape == (0,) and den.dtype == dtype
 
     def test_wide_product_chunks_use_python_ints(self, monkeypatch):
@@ -242,7 +242,7 @@ class TestExactGrid:
         """Invert the solution verdict of the grid rows with code tuples
         ``points``.
 
-        Every full-width call of ``_quarter_verdicts`` reports the inverted
+        Every full-width call of ``_grid_verdicts`` reports the inverted
         verdict of the whole row on them, so the verdicts of the several
         calls a sampled row gets do not compound.  The exhaustive sweep
         makes its one full-width call only on rows on which a side still
@@ -253,16 +253,16 @@ class TestExactGrid:
         targets = np.array(points, dtype=np.int8)
         inverted = np.array([not system.is_exact_solution(
             {e: Fraction(k, 4) for e, k in zip(h.universe, point)}) for point in points])
-        verdicts = bridge._quarter_verdicts
+        verdicts = bridge._grid_verdicts
 
-        def flipped(formulas, equations, logic, positions, codes):
-            model, solution = verdicts(formulas, equations, logic, positions, codes)
+        def flipped(formulas, equations, logic, positions, codes, dtype):
+            model, solution = verdicts(formulas, equations, logic, positions, codes, dtype)
             if codes.shape[1] == len(h):
                 hits = (codes[:, None, :] == targets).all(axis=2)
                 solution = np.where(hits.any(axis=1), (hits & inverted).any(axis=1), solution)
             return model, solution
 
-        monkeypatch.setattr(bridge, "_quarter_verdicts", flipped)
+        monkeypatch.setattr(bridge, "_grid_verdicts", flipped)
 
     @staticmethod
     def _expected_explanation(h, point):

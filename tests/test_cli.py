@@ -38,6 +38,16 @@ class TestCheck:
         code, out, _ = invoke(["check", "-"], stdin_text="arg(x).")
         assert code == 0 and out == "arg(x).\n"
 
+    def test_file_and_stdin_read_line_ends_alike(self, tmp_path):
+        # only \n ends a line: a lone \r is whitespace in a file as on stdin
+        path = tmp_path / "cr.hafs"
+        path.write_bytes(b"arg(a).\rarg(b;")
+        from_file = invoke(["check", str(path)])
+        assert from_file == invoke(["check", "-"], stdin_text="arg(a).\rarg(b;")
+        assert from_file == (2, "", "hafs: error: 1:14: unexpected character ';'\n")
+        path.write_bytes(b"arg(a).\r\nsupp(t1,a,a). % note\r\n")
+        assert invoke(["check", str(path)]) == (0, "arg(a).\nsupp(t1,a,a).\n", "")
+
     def test_parse_error_exits_2(self, tmp_path):
         path = tmp_path / "bad.hafs"
         path.write_text("arg(a). att(r1,a).")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import hafs
-from hafs import (Assignment, GODEL, L3, LUKASIEWICZ, PRODUCT, PreconditionError,
+from hafs import (GODEL, L3, LUKASIEWICZ, PRODUCT, PreconditionError,
                   SizeBoundError, argument, attack_id, build_equations,
                   enumerate_ternary_solutions, h_function, solve_fixed_point,
                   support_id)
@@ -18,7 +18,7 @@ from hafs.equations import _compile_apply, _layered_apply, _least_squares
 from hafs.labellings import is_adjacent_complete
 from hafs.logic import LogicSystem
 
-from helpers import corpus, godel_rhs, product_rhs
+from helpers import corpus, godel_rhs, product_rhs, ternary_solutions
 
 V0, VH, V1 = Fraction(0), Fraction(1, 2), Fraction(1)
 A, R1, T1 = argument("a"), attack_id("r1"), support_id("t1")
@@ -34,6 +34,10 @@ TERNARIZE = ("arg(a0). arg(a1). arg(a2). arg(a3). arg(a4). arg(a5). arg(a6). arg
 
 rationals01 = st.fractions(min_value=0, max_value=1, max_denominator=32)
 fuzzy_logics = st.sampled_from([GODEL, PRODUCT, LUKASIEWICZ])
+# min as a t-norm that no array or exact kernel recognises
+MIN_WRAPPED = LogicSystem(name="min-wrapped", value_domain="unit_interval",
+                          negation=GODEL.negation, tnorm=lambda x, y: min(x, y),
+                          implication=GODEL.implication)
 
 
 def grid_points(h, rng, count):
@@ -118,19 +122,13 @@ class TestClosedForms:
                 assert repr(layered(x).tolist()) == repr([scalar(row) for row in rows])
 
     def test_layered_apply_declines_other_logics(self, self_attack):
-        wrapped = LogicSystem(name="min-wrapped", value_domain="unit_interval",
-                              negation=GODEL.negation, tnorm=lambda x, y: min(x, y),
-                              implication=GODEL.implication)
-        assert _layered_apply(wrapped, self_attack.incidence) is None
+        assert _layered_apply(MIN_WRAPPED, self_attack.incidence) is None
 
     def test_generic_fold_matches_inlined_min(self):
         # a t-norm the kernels do not recognise takes the h_function fold
-        wrapped = LogicSystem(name="min-wrapped", value_domain="unit_interval",
-                              negation=GODEL.negation, tnorm=lambda x, y: min(x, y),
-                              implication=GODEL.implication)
         rng = random.Random(5)
         for h, _ in corpus(15, max_u=6, seed_base=9400):
-            generic = _compile_apply(wrapped, h.incidence)
+            generic = _compile_apply(MIN_WRAPPED, h.incidence)
             inlined = _compile_apply(GODEL, h.incidence)
             for _ in range(5):
                 x = [rng.random() for _ in h.universe]
@@ -171,11 +169,8 @@ class TestResidual:
                 x = np.array(points).reshape(len(points), len(order))
                 expected = [system.residual(dict(zip(order, p))) for p in points]
                 assert system.residuals(x).tolist() == expected, hafs.serialize(h)
-        wrapped = LogicSystem(name="min-wrapped", value_domain="unit_interval",
-                              negation=GODEL.negation, tnorm=lambda x, y: min(x, y),
-                              implication=GODEL.implication)
         with pytest.raises(PreconditionError, match="no array kernel"):
-            build_equations(self_attack, wrapped).residuals(np.zeros((1, 2)))
+            build_equations(self_attack, MIN_WRAPPED).residuals(np.zeros((1, 2)))
 
     def test_non_total_rejected(self, f3):
         system = build_equations(f3, GODEL)
@@ -460,16 +455,33 @@ class TestTernaryEnumeration:
         ]
 
     def test_matches_unpruned_scan(self):
-        import itertools
         for h, _ in corpus(15, max_u=5, seed_base=10_600):
             for logic in (GODEL, PRODUCT, LUKASIEWICZ):
                 system = build_equations(h, logic)
-                unpruned = [
-                    Assignment(dict(zip(h.universe, combo)))
-                    for combo in itertools.product((V0, VH, V1), repeat=len(h))
-                    if system.residual(dict(zip(h.universe, combo))) == 0
-                ]
-                assert list(enumerate_ternary_solutions(system)) == unpruned
+                assert enumerate_ternary_solutions(system) == ternary_solutions(system)
+
+    @given(nargs=st.integers(1, 3), natts=st.integers(0, 2), nsupps=st.integers(0, 1),
+           seed=st.integers(0, 10_000), acyclic=st.booleans(),
+           hop=st.sampled_from([0.0, 0.3, 0.6]),
+           logic=st.sampled_from([GODEL, PRODUCT, LUKASIEWICZ, L3]))
+    def test_matches_unpruned_scan_on_generated(self, nargs, natts, nsupps, seed, acyclic,
+                                                hop, logic):
+        try:
+            h = hafs.generate_random(nargs, natts, nsupps, seed=seed,
+                                     support_acyclic=acyclic, higher_order_prob=hop)
+        except hafs.InfeasibleParametersError:
+            return
+        system = build_equations(h, logic)
+        assert enumerate_ternary_solutions(system) == ternary_solutions(system), \
+            (logic.name, hafs.serialize(h))
+
+    def test_logic_without_exact_kernel_rejected(self, self_attack):
+        other_negation = LogicSystem(name="godel-negation", value_domain="unit_interval",
+                                     negation=lambda x: 1 - x, tnorm=GODEL.tnorm,
+                                     implication=GODEL.implication)
+        for logic in (MIN_WRAPPED, other_negation):
+            with pytest.raises(PreconditionError, match="no exact kernel"):
+                enumerate_ternary_solutions(build_equations(self_attack, logic))
 
     def test_size_bound(self, example3):
         system = build_equations(example3, GODEL)

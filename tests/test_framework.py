@@ -279,7 +279,6 @@ class TestIncomingIndex:
                 assert [(at(c), at(t)) for c, t in supp] == list(h.supporters_of(x))
                 assert sorted((at(t), at(s)) for t, s in view.outgoing_supports[i]) == \
                     sorted((t.target, t.id) for t in h.supports if t.source == x)
-                assert (i in view.free) == bool(att or supp)
 
 
 class TestSupportAcyclic:

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 import hafs
 from hafs import (HALF, Labelling3, ONE, SizeBoundError, ValidationError, ZERO,
@@ -103,8 +104,20 @@ class TestEnumerate:
 
     def test_matches_unpruned_brute_force(self):
         for h, _ in corpus(60, seed_base=2100):
-            assert set(enumerate_adjacent_complete(h)) == brute_force_labellings(h), \
+            assert set(enumerate_adjacent_complete(h)) == set(brute_force_labellings(h)), \
                 hafs.serialize(h)
+
+    @given(nargs=st.integers(1, 3), natts=st.integers(0, 2), nsupps=st.integers(0, 2),
+           seed=st.integers(0, 10_000), acyclic=st.booleans(),
+           hop=st.sampled_from([0.0, 0.3, 0.6]))
+    def test_matches_unpruned_brute_force_in_order_on_generated(self, nargs, natts, nsupps,
+                                                               seed, acyclic, hop):
+        try:
+            h = hafs.generate_random(nargs, natts, nsupps, seed=seed,
+                                     support_acyclic=acyclic, higher_order_prob=hop)
+        except hafs.InfeasibleParametersError:
+            return
+        assert enumerate_adjacent_complete(h) == brute_force_labellings(h), hafs.serialize(h)
 
     def test_source_free_elements_always_one(self):
         for h, _ in corpus(40, seed_base=2500):
