@@ -19,12 +19,12 @@ import numpy as np
 from .equations import (Equation, EquationSystem, _equation_variables, _exact, _le,
                         _neg_q, _quarter_columns, _reduced, _solution_mask, _TNORMS_Q,
                         build_equations, enumerate_ternary_solutions, solve_fixed_point)
-from .errors import PreconditionError, SizeBoundError, ValidationError
+from .errors import PreconditionError, ValidationError
 from .extensions import enumerate_extensions, extension_derived_labelling
 from .framework import HAFS, is_support_acyclic, serialize
 from .labellings import HALF, ONE, THREE_VALUES, ZERO, Labelling3, _by_level, _frontier, \
     _survivors, _three_valued, enumerate_adjacent_complete, is_adjacent_complete
-from .limits import DEFAULT_LABELLING_BOUND, universe_bound
+from .limits import DEFAULT_LABELLING_BOUND, check_universe
 from .logic import And, Assignment, Formula, GODEL, L3, LogicSystem, LUKASIEWICZ, PRODUCT, \
     _Ops, _fold, _impl_godel, _impl_lukasiewicz, _impl_product, compile_evaluator, \
     encode_normal, get_logic, variables
@@ -91,11 +91,8 @@ def enumerate_pl3_models(h: HAFS, bound: int | None = None) -> tuple[Labelling3,
     read, never the labelling conditions, so set comparisons with the
     labelling enumeration are a real cross-check.
     """
-    limit = bound if bound is not None else universe_bound(DEFAULT_LABELLING_BOUND)
     order = h.universe
-    n = len(order)
-    if n > limit:
-        raise SizeBoundError(f"universe has {n} elements, bound is {limit}")
+    check_universe(len(order), bound, DEFAULT_LABELLING_BOUND)
 
     levels = [[compile_evaluator(c, L3) for c in level]
               for level in _by_level(order, _conjuncts(encode_normal(h)), variables)]
@@ -292,25 +289,18 @@ def _draw_codes(rng: random.Random, count: int) -> np.ndarray:
 
     CPython's ``randrange(5)`` takes the top 3 bits of one 32-bit
     Mersenne Twister output and draws again while they read 5 or more.
-    Here the outputs are drawn in bulk with ``getrandbits``, whose first
-    output is the least significant word; the generator is then rewound
-    and advanced by exactly the outputs the accepted values used.
+    Here the outputs are drawn in batches with ``getrandbits``, whose first
+    output is the least significant word.  Each batch draws one output per
+    code still missing; an output gives at most one code, so the list
+    would consume every output drawn, and none is drawn twice.
     """
-    if not count:
-        return np.zeros(0, dtype=np.int8)
-    state = rng.getstate()
-    batches, accepted = [], 0
-    while accepted < count:
-        words = -(-(count - accepted) * 8 // 5)
-        raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+    batches, missing = [np.zeros(0, dtype=np.int8)], count
+    while missing:
+        raw = rng.getrandbits(32 * missing).to_bytes(4 * missing, "little")
         top = (np.frombuffer(raw, dtype="<u4") >> 29).astype(np.int8)
-        batches.append(top)
-        accepted += int(np.count_nonzero(top < 5))
-    top = np.concatenate(batches)
-    kept = np.flatnonzero(top < 5)[:count]
-    rng.setstate(state)
-    rng.getrandbits(32 * (int(kept[-1]) + 1))
-    return top[kept]
+        batches.append(top[top < 5])
+        missing -= len(batches[-1])
+    return np.concatenate(batches)
 
 
 def _sampled_verdicts(formula: Formula, system: EquationSystem, rng: random.Random,

@@ -118,7 +118,7 @@ def _emit_json(stdout, obj) -> None:
     stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _parse_assignment(raw: str, h: framework.HAFS) -> logic.Assignment:
+def _parse_assignment(raw: str) -> logic.Assignment:
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -141,7 +141,6 @@ def _parse_assignment(raw: str, h: framework.HAFS) -> logic.Assignment:
             values[element] = value
         else:
             raise _UsageError(f"unsupported value {value!r} for {key!r}")
-    del h  # totality is checked by the evaluation itself
     return logic.Assignment(values)
 
 
@@ -187,7 +186,7 @@ def _cmd_encode(opts, stdin, stdout) -> int:
 def _cmd_eval(opts, stdin, stdout) -> int:
     h = _read_framework(opts.input, stdin)
     system = logic.get_logic(opts.logic)
-    assignment = _parse_assignment(opts.assignment, h)
+    assignment = _parse_assignment(opts.assignment)
     value = logic.evaluate(logic.encode_normal(h), assignment, system)
     _emit_json(stdout, {
         "logic": system.name,

@@ -18,12 +18,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import PreconditionError, SizeBoundError, ValidationError
+from .errors import PreconditionError, ValidationError
 from .framework import HAFS, ElementId, Incidence
 from .labellings import _by_level, _three_valued
-from .limits import DEFAULT_TERNARY_BOUND, universe_bound
-from .logic import (Assignment, LogicSystem, _standard_negation, _tnorm_lukasiewicz,
-                    _tnorm_min, _tnorm_product)
+from .limits import DEFAULT_TERNARY_BOUND, check_universe
+from .logic import (_TNORMS_F, Assignment, LogicSystem, _standard_negation,
+                    _tnorm_lukasiewicz, _tnorm_min, _tnorm_product)
 
 
 def h_function(logic: LogicSystem,
@@ -64,9 +64,11 @@ class EquationSystem:
     def __init__(self, framework: HAFS, logic: LogicSystem):
         self.framework = framework
         self.logic = logic
+        u = framework.universe
         self.equations = tuple(
-            Equation(a, framework.attackers_of(a), framework.supporters_of(a))
-            for a in framework.universe
+            Equation(a, tuple((u[b], u[r]) for b, r in attacks),
+                     tuple((u[c], u[t]) for c, t in supports))
+            for a, (attacks, supports) in zip(u, framework.incidence.incoming)
         )
 
     @property
@@ -199,15 +201,13 @@ def _layered_apply(logic: LogicSystem, view: Incidence):
     in the attacks-then-supports order of :func:`h_function`.  The
     accumulators are kept in descending in-degree order, so each layer is
     a leading slice and no element is padded with the identity (under
-    Łukasiewicz, ``(1.0 + v) - 1.0`` can round away from ``v``).  The
-    formulas and operation order are those of :func:`_compile_apply`, so
-    the floats are identical.
+    Łukasiewicz, ``(1.0 + v) - 1.0`` can round away from ``v``).  Both
+    steps apply the t-norm's numpy version from ``logic._TNORMS_F``, with
+    the formulas and operation order of :func:`_compile_apply`; the floats
+    are identical on NaN-free input, and no start or iterate holds a NaN.
     """
-    if logic.negation is not _standard_negation:
-        return None
-    tnorm = logic.tnorm
-    if tnorm is not _tnorm_min and tnorm is not _tnorm_product \
-            and tnorm is not _tnorm_lukasiewicz:
+    tnorm = _TNORMS_F.get(logic.tnorm)
+    if logic.negation is not _standard_negation or tnorm is None:
         return None
     pairs = [att + supp for att, supp in view.incoming]
     n = len(pairs)
@@ -230,25 +230,10 @@ def _layered_apply(logic: LogicSystem, view: Incidence):
     back[rank] = np.arange(n)
 
     def apply(x):
-        p = np.hstack((x, 1.0 - x))[:, first]
-        q = x[:, second]
-        if tnorm is _tnorm_min:
-            v = 1.0 - np.where(p < q, p, q)
-        elif tnorm is _tnorm_product:
-            v = 1.0 - p * q
-        else:
-            z = p + q - 1.0
-            v = 1.0 - np.where(z > 0.0, z, 0.0)
+        v = 1.0 - tnorm(np.hstack((x, 1.0 - x))[:, first], x[:, second])
         acc = np.ones((len(x), n))
         for lo, m in layers:
-            a, w = acc[:, :m], v[:, lo:lo + m]
-            if tnorm is _tnorm_min:
-                np.copyto(a, w, where=w < a)
-            elif tnorm is _tnorm_product:
-                a *= w
-            else:
-                z = a + w - 1.0
-                a[...] = np.where(z > 0.0, z, 0.0)
+            acc[:, :m] = tnorm(acc[:, :m], v[:, lo:lo + m])
         return acc[:, back]
     return apply
 
@@ -639,11 +624,8 @@ def enumerate_ternary_solutions(system: EquationSystem,
     t-norms under the negation 1 - x have these kernels; any other logic
     raises :class:`PreconditionError`.
     """
-    limit = bound if bound is not None else universe_bound(DEFAULT_TERNARY_BOUND)
     logic, order = system.logic, system.universe
-    n = len(order)
-    if n > limit:
-        raise SizeBoundError(f"universe has {n} elements, bound is {limit}")
+    check_universe(len(order), bound, DEFAULT_TERNARY_BOUND)
     if logic.tnorm not in _TNORMS_Q or logic.negation is not _standard_negation:
         raise PreconditionError(f"logic {logic.name} has no exact kernel")
 

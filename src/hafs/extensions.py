@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
-from .errors import PreconditionError, SizeBoundError, ValidationError
+from .errors import PreconditionError, ValidationError
 from .framework import HAFS, ElementId, Incidence
 from .labellings import HALF, ONE, ZERO, Labelling3
-from .limits import DEFAULT_EXTENSION_BOUND, universe_bound
+from .limits import DEFAULT_EXTENSION_BOUND, check_universe
 
 ElementSet = frozenset[ElementId]
 
@@ -243,10 +243,7 @@ def enumerate_extensions(h: HAFS, semantics: ExtensionSemantics,
     preferred keeps its maximal members and stable those that, with what
     they defeat, cover the universe.
     """
-    limit = bound if bound is not None else universe_bound(DEFAULT_EXTENSION_BOUND)
-    n = len(h.universe)
-    if n > limit:
-        raise SizeBoundError(f"universe has {n} elements, bound is {limit}")
+    check_universe(len(h.universe), bound, DEFAULT_EXTENSION_BOUND)
 
     view = h.incidence
     if semantics == "grounded":

@@ -30,8 +30,9 @@ statement order and placed at the statement's head.
 Every semantics reads the same structure: each element's incoming attacks
 (attacker, attack) and supports (supporter, support).  ``HAFS.incidence``
 holds it once per framework as integer positions into ``universe``, built
-on first use, and the labelling sweep, the extension search, the fixed-point
-solver and the support-cycle check all read that one view.
+by the walk that validates the relations; the encoding, the equations, the
+labelling sweep, the extension search, the fixed-point solver and the
+support-cycle check all read that one view.
 """
 
 from __future__ import annotations
@@ -179,13 +180,17 @@ class HAFS:
     * the relation-reference graph is acyclic, so every relation grounds
       out in arguments.
 
+    One walk over the id-sorted relations checks the endpoints and pairs
+    and builds ``incidence``, the only stored copy of each element's
+    incoming and outgoing pairs; ``attackers_of`` and ``supporters_of``
+    read them back as ids.
+
     Iteration order over the universe is always sorted (arguments, then
     attacks, then supports, each alphabetically), so derived output is
     reproducible.
     """
 
-    __slots__ = ("arguments", "attacks", "supports", "universe",
-                 "_by_id", "_attackers", "_supporters", "_incidence")
+    __slots__ = ("arguments", "attacks", "supports", "universe", "_by_id", "incidence")
 
     def __init__(self, arguments: Iterable[ElementId],
                  attacks: Iterable[Relation],
@@ -218,36 +223,40 @@ class HAFS:
         self.universe = universe
         self._by_id = {r.id: r for r in atts + supps}
 
-        # incoming pairs, grouped by target in the relation-id order of
-        # ``atts`` and ``supps``
-        attackers: dict[ElementId, list[tuple[ElementId, ElementId]]] = {x: [] for x in universe}
-        supporters: dict[ElementId, list[tuple[ElementId, ElementId]]] = {x: [] for x in universe}
-        for relations, incoming in ((atts, attackers), (supps, supporters)):
-            pairs: set[tuple[ElementId, ElementId]] = set()
-            for rel in relations:
+        # one walk over the id-sorted relations: the universe lists each
+        # kind's relations in that order, so a relation's position is its
+        # index plus an offset
+        position = {x: i for i, x in enumerate(universe)}
+        attack_pairs: list[list[tuple[int, int]]] = [[] for _ in universe]
+        support_pairs: list[list[tuple[int, int]]] = [[] for _ in universe]
+        outgoing: list[list[tuple[int, int]]] = [[] for _ in universe]
+        # relation position -> its endpoints that are relations; these
+        # references must form a DAG, checked once every pair has passed
+        refs: dict[int, list[int]] = {}
+        for relations, first, incoming in ((atts, len(args), attack_pairs),
+                                           (supps, len(args) + len(atts), support_pairs)):
+            pairs: set[tuple[int, int]] = set()
+            for r, rel in enumerate(relations, first):
                 for endpoint in (rel.source, rel.target):
-                    if endpoint not in incoming:
+                    if endpoint not in position:
                         raise ValidationError(f"{rel.id} references undeclared element {endpoint}")
-                key = (rel.source, rel.target)
+                key = c, x = position[rel.source], position[rel.target]
                 if key in pairs:
                     raise ValidationError(
                         f"duplicate {rel.kind.value} with source {rel.source} and target {rel.target}"
                     )
                 pairs.add(key)
-                incoming[rel.target].append((rel.source, rel.id))
+                incoming[x].append((c, r))
+                if incoming is support_pairs:
+                    outgoing[c].append((x, r))
+                refs[r] = [e for e in key if e >= len(args)]
 
-        self._check_well_founded()
-        self._attackers = {x: tuple(v) for x, v in attackers.items()}
-        self._supporters = {x: tuple(v) for x, v in supporters.items()}
-        self._incidence = None
-
-    def _check_well_founded(self):
-        # relation -> relations appearing as its endpoints must form a DAG
-        refs = {rel.id: [e for e in (rel.source, rel.target) if e.kind is not Kind.ARGUMENT]
-                for rel in self.attacks + self.supports}
         node = _cycle_node(refs, refs.__getitem__)
         if node is not None:
-            raise ValidationError(f"definitional cycle among relations involving {node}")
+            raise ValidationError(f"definitional cycle among relations involving {universe[node]}")
+        self.incidence = Incidence(
+            position, tuple(zip(map(tuple, attack_pairs), map(tuple, support_pairs))),
+            tuple(map(tuple, outgoing)))
 
     # -- lookups ---------------------------------------------------------
 
@@ -256,21 +265,16 @@ class HAFS:
 
     def attackers_of(self, x: ElementId) -> tuple[tuple[ElementId, ElementId], ...]:
         """Incoming attacks on ``x`` as (attacker, attack-id) pairs."""
-        return self._attackers[x]
+        view, u = self.incidence, self.universe
+        return tuple((u[b], u[r]) for b, r in view.incoming[view.position[x]][0])
 
     def supporters_of(self, x: ElementId) -> tuple[tuple[ElementId, ElementId], ...]:
         """Incoming supports on ``x`` as (supporter, support-id) pairs."""
-        return self._supporters[x]
-
-    @property
-    def incidence(self) -> "Incidence":
-        """The integer-indexed view, built on first use."""
-        if self._incidence is None:
-            self._incidence = Incidence(self)
-        return self._incidence
+        view, u = self.incidence, self.universe
+        return tuple((u[c], u[t]) for c, t in view.incoming[view.position[x]][1])
 
     def __contains__(self, x: ElementId) -> bool:
-        return x in self._attackers
+        return x in self.incidence.position
 
     def __len__(self) -> int:
         return len(self.universe)
@@ -292,36 +296,20 @@ class HAFS:
                 f"{len(self.attacks)} attacks, {len(self.supports)} supports)")
 
 
+@dataclass(frozen=True, eq=False)
 class Incidence:
-    """Integer-indexed incidence of a framework.
+    """Integer-indexed incidence of a framework, built by ``HAFS.__init__``.
 
     ``position[x]`` is the index of ``x`` in ``universe``.  For each
     position ``i``, ``incoming[i]`` is the pair (attack pairs, support
     pairs): the (attacker, attack) and (supporter, support) positions in
-    the relation-id order of ``attackers_of``/``supporters_of``;
-    ``outgoing_supports[i]`` lists the (target, support) positions of the
-    supports leaving ``i``.
+    relation-id order; ``outgoing_supports[i]`` lists the (target, support)
+    positions of the supports leaving ``i``, in the same order.
     """
 
-    __slots__ = ("position", "incoming", "outgoing_supports")
-
-    def __init__(self, h: HAFS):
-        position = {x: i for i, x in enumerate(h.universe)}
-        self.position = position
-        attacks: list[list[tuple[int, int]]] = [[] for _ in h.universe]
-        supports: list[list[tuple[int, int]]] = [[] for _ in h.universe]
-        outgoing: list[list[tuple[int, int]]] = [[] for _ in h.universe]
-        # one walk over the id-sorted relations, as in ``HAFS.__init__``; the
-        # universe lists each kind's relations in that order, so a relation's
-        # position is its index plus an offset
-        for r, rel in enumerate(h.attacks, len(h.arguments)):
-            attacks[position[rel.target]].append((position[rel.source], r))
-        for t, rel in enumerate(h.supports, len(h.arguments) + len(h.attacks)):
-            c, x = position[rel.source], position[rel.target]
-            supports[x].append((c, t))
-            outgoing[c].append((x, t))
-        self.incoming = tuple(zip(map(tuple, attacks), map(tuple, supports)))
-        self.outgoing_supports = tuple(map(tuple, outgoing))
+    position: dict[ElementId, int]
+    incoming: tuple[tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]], ...]
+    outgoing_supports: tuple[tuple[tuple[int, int], ...], ...]
 
 
 # -- parsing ---------------------------------------------------------------

@@ -16,9 +16,9 @@ from typing import Iterable, Literal
 
 import numpy as np
 
-from .errors import SizeBoundError, ValidationError
+from .errors import ValidationError
 from .framework import HAFS, ElementId
-from .limits import DEFAULT_LABELLING_BOUND, universe_bound
+from .limits import DEFAULT_LABELLING_BOUND, check_universe
 from .logic import THREE_VALUES, Assignment
 
 ZERO, HALF, ONE = THREE_VALUES
@@ -178,10 +178,8 @@ def enumerate_adjacent_complete(h: HAFS, bound: int | None = None) -> tuple[Labe
     assigned breaks its condition.  Output order is lexicographic over
     elements sorted by id with value order 0 < 1/2 < 1.
     """
-    limit = bound if bound is not None else universe_bound(DEFAULT_LABELLING_BOUND)
     n = len(h.universe)
-    if n > limit:
-        raise SizeBoundError(f"universe has {n} elements, bound is {limit}")
+    check_universe(n, bound, DEFAULT_LABELLING_BOUND)
 
     incoming = h.incidence.incoming
     levels = _by_level(range(n), range(n),

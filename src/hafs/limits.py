@@ -2,6 +2,8 @@
 
 import os
 
+from .errors import SizeBoundError
+
 DEFAULT_LABELLING_BOUND = 16
 DEFAULT_EXTENSION_BOUND = 20
 DEFAULT_TERNARY_BOUND = 12
@@ -9,11 +11,14 @@ DEFAULT_TERNARY_BOUND = 12
 ENV_BOUND = "HAFS_MAX_U"
 
 
-def universe_bound(default: int) -> int:
-    raw = os.environ.get(ENV_BOUND)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{ENV_BOUND} must be an integer, got {raw!r}") from None
+def check_universe(n: int, bound: int | None, default: int) -> None:
+    """Raise :class:`SizeBoundError` when ``n`` elements exceed ``bound``;
+    without one, the bound is ``HAFS_MAX_U`` if set, else ``default``."""
+    if bound is None:
+        raw = os.environ.get(ENV_BOUND)
+        try:
+            bound = default if raw is None else int(raw)
+        except ValueError:
+            raise ValueError(f"{ENV_BOUND} must be an integer, got {raw!r}") from None
+    if n > bound:
+        raise SizeBoundError(f"universe has {n} elements, bound is {bound}")

@@ -209,7 +209,7 @@ class Assignment(Mapping):
 
     @staticmethod
     def _coerce(key: ElementId, raw) -> object:
-        value = raw if isinstance(raw, float) else Fraction(raw)
+        value = raw if isinstance(raw, float) or type(raw) is Fraction else Fraction(raw)
         if not 0 <= value <= 1:
             raise ValidationError(f"value {raw!r} for {key} is outside [0, 1]")
         return value
@@ -390,14 +390,11 @@ def encode_normal(h: HAFS) -> Formula:
     Conjunct order follows element order, inner order follows relation
     ids, so the output is reproducible.
     """
+    u = h.universe
     conjuncts = []
-    for a in h.universe:
-        parts: list[Formula] = [
-            Not(And((Var(rel), Var(b)))) for b, rel in h.attackers_of(a)
-        ]
-        parts += [
-            Not(And((Var(rel), Not(Var(c))))) for c, rel in h.supporters_of(a)
-        ]
+    for a, (attacks, supports) in zip(u, h.incidence.incoming):
+        parts: list[Formula] = [Not(And((Var(u[r]), Var(u[b])))) for b, r in attacks]
+        parts += [Not(And((Var(u[t]), Not(Var(u[c]))))) for c, t in supports]
         conjuncts.append(Iff(Var(a), conjunction(parts)))
     return conjunction(conjuncts)
 

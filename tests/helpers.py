@@ -7,8 +7,10 @@ unpruned scalar sweeps through ``evaluate``, ``residual`` and
 ``is_exact_solution``, all in grid order, extension families by an
 unpruned subset scan through ``classify_set``, defeat pairs by a
 least-fixpoint recursion, equation right-hand sides by the closed forms,
-support acyclicity by Kahn's algorithm, and framework text by a
-character-by-character tokenizer and a token-stream parser.
+support acyclicity by Kahn's algorithm, each element's incoming pairs and
+the relation checks by an id-keyed grouping and a recursive cycle search,
+and framework text by a character-by-character tokenizer and a token-stream
+parser.
 """
 
 from __future__ import annotations
@@ -214,6 +216,53 @@ def kahn_is_acyclic(nodes, edges) -> bool:
             if indeg[nxt] == 0:
                 queue.append(nxt)
     return seen == len(list(nodes))
+
+
+def reference_incoming(arguments, attacks, supports) -> dict:
+    """Each element's incoming (attacker, attack) and (supporter, support)
+    id pairs, keyed by id, or the :class:`ValidationError` that building
+    the framework raises; kinds and names must be valid and unique.
+
+    The relation checks are done on ids: attacks, then supports, in id
+    order, each for an undeclared endpoint, then a duplicate pair; then a
+    definitional cycle, by a recursive depth-first search from each
+    relation in id order over its relation endpoints, source first.
+    """
+    atts = sorted(attacks, key=lambda rel: rel.id)
+    supps = sorted(supports, key=lambda rel: rel.id)
+    universe = sorted(arguments) + [rel.id for rel in atts + supps]
+    attackers = {x: [] for x in universe}
+    supporters = {x: [] for x in universe}
+    for relations, incoming in ((atts, attackers), (supps, supporters)):
+        pairs = set()
+        for rel in relations:
+            for endpoint in (rel.source, rel.target):
+                if endpoint not in incoming:
+                    raise ValidationError(f"{rel.id} references undeclared element {endpoint}")
+            if (rel.source, rel.target) in pairs:
+                raise ValidationError(f"duplicate {rel.kind.value} with source {rel.source} "
+                                      f"and target {rel.target}")
+            pairs.add((rel.source, rel.target))
+            incoming[rel.target].append((rel.source, rel.id))
+
+    refs = {rel.id: [e for e in (rel.source, rel.target) if e.kind is not Kind.ARGUMENT]
+            for rel in atts + supps}
+    state = {}
+
+    def closing(node):
+        state[node] = "open"
+        for nxt in refs[node]:
+            if state.get(nxt) == "open":
+                return nxt
+            if nxt not in state and (found := closing(nxt)) is not None:
+                return found
+        state[node] = "done"
+        return None
+
+    for start in refs:
+        if start not in state and (found := closing(start)) is not None:
+            raise ValidationError(f"definitional cycle among relations involving {found}")
+    return {x: (tuple(attackers[x]), tuple(supporters[x])) for x in universe}
 
 
 def all_subsets(universe):

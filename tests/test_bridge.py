@@ -424,7 +424,8 @@ class TestDrawCodes:
     @pytest.mark.parametrize("seed, count", [
         (0, 0), (7, 1), (123, bridge._EQ_CHUNK_ROWS * 8), (1, 1000)])
     def test_matches_randrange_and_end_state(self, seed, count):
-        reference = random.Random(seed)
+        reference = self._Counting(seed)
+        reference.calls = []
         expected = [reference.randrange(5) for _ in range(count)]
         bulk = self._Counting(seed)
         bulk.calls = []
@@ -432,9 +433,8 @@ class TestDrawCodes:
         assert codes.tolist() == expected
         assert bulk.getstate() == reference.getstate()
         assert bulk.random() == reference.random()
-        if (seed, count) == (1, 1000):
-            # two drawing batches, then the rewound generator's advance
-            assert len(bulk.calls) == 3
+        # each 32-bit word drawn is one the loop consumed: none is drawn twice
+        assert sum(bulk.calls) // 32 == len(reference.calls)
 
 
 class TestReports:

@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import random
@@ -9,11 +10,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import hafs
-from hafs import (ElementId, HAFS, InfeasibleParametersError, ParseError,
+from hafs import (ElementId, HAFS, InfeasibleParametersError, Kind, ParseError,
                   Relation, SupportChain, ValidationError, argument, attack_id,
                   generate_random, is_support_acyclic, parse, serialize, support_id)
 
-from helpers import corpus, kahn_is_acyclic, reference_parse
+from helpers import corpus, kahn_is_acyclic, reference_incoming, reference_parse
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -279,6 +280,65 @@ class TestIncomingIndex:
                 assert [(at(c), at(t)) for c, t in supp] == list(h.supporters_of(x))
                 assert sorted((at(t), at(s)) for t, s in view.outgoing_supports[i]) == \
                     sorted((t.target, t.id) for t in h.supports if t.source == x)
+
+
+def relation_lists(rng: random.Random):
+    """Arguments, attacks and supports with unique names and valid kinds,
+    in shuffled order; an endpoint is sometimes undeclared (an unknown
+    name, or a declared name under another kind), a relation sometimes
+    repeats an earlier pair of its kind, and relation endpoints, drawn
+    with a seed-dependent chance, often close a cycle."""
+    args = [argument(f"a{i}") for i in range(rng.randint(1, 3))]
+    rids = [attack_id(f"r{i}") for i in range(rng.randint(0, 4))]
+    rids += [support_id(f"t{i}") for i in range(rng.randint(0, 4))]
+    stray = [argument("z"), attack_id("a0"), support_id("r0")]
+    higher_order = rng.choice([0.1, 0.3, 0.6])
+
+    def endpoint(rid):
+        while True:
+            pool = stray if rng.random() < 0.03 else \
+                rids if rng.random() < higher_order else args
+            e = rng.choice(pool)
+            if e != rid:
+                return e
+
+    rels = []
+    for rid in rids:
+        same_kind = [rel for rel in rels if rel.kind is rid.kind]
+        if same_kind and rng.random() < 0.05:
+            prev = rng.choice(same_kind)
+            if rid not in (prev.source, prev.target):
+                rels.append(Relation(rid, prev.source, prev.target))
+                continue
+        rels.append(Relation(rid, endpoint(rid), endpoint(rid)))
+    rng.shuffle(args)
+    rng.shuffle(rels)
+    return (args, [rel for rel in rels if rel.kind is Kind.ATTACK],
+            [rel for rel in rels if rel.kind is Kind.SUPPORT])
+
+
+class TestRelationWalkAgainstOracle:
+    def test_generated_relation_lists(self):
+        seen = collections.Counter()
+        for seed in range(3000):
+            args, atts, supps = relation_lists(random.Random(seed))
+            try:
+                expected = reference_incoming(args, atts, supps)
+            except ValidationError as err:
+                expected = str(err)
+            try:
+                h = HAFS(args, atts, supps)
+            except ValidationError as err:
+                assert str(err) == expected, seed
+                seen[next(w for w in ("undeclared", "duplicate", "cycle") if w in str(err))] += 1
+                continue
+            assert {x: (h.attackers_of(x), h.supporters_of(x)) for x in h.universe} == \
+                expected, seed
+            assert all(x in h for x in expected)
+            assert attack_id("a0") not in h and argument("z") not in h
+            seen["built"] += 1
+        # every outcome of the walk is exercised
+        assert min(seen[k] for k in ("built", "undeclared", "duplicate", "cycle")) >= 100, seen
 
 
 class TestSupportAcyclic:
