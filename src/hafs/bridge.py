@@ -79,8 +79,10 @@ def _conjuncts(formula: Formula) -> tuple[Formula, ...]:
 _THREE_FLOATS = np.array([float(v) for v in THREE_VALUES])
 
 
-def enumerate_pl3_models(h: HAFS, bound: int | None = None) -> tuple[Labelling3, ...]:
-    """All three-valued assignments satisfying the encoded formula.
+def enumerate_pl3_models(h: HAFS, bound: int | None = None, *,
+                         formula: Formula | None = None) -> tuple[Labelling3, ...]:
+    """All three-valued assignments satisfying the encoded formula
+    (``formula``, ``encode_normal(h)`` unless the caller already has it).
 
     Frontier sweep over the 3^|U| grid: elements are assigned in universe
     order, and a partial assignment is dropped as soon as a conjunct of
@@ -94,8 +96,10 @@ def enumerate_pl3_models(h: HAFS, bound: int | None = None) -> tuple[Labelling3,
     order = h.universe
     check_universe(len(order), bound, DEFAULT_LABELLING_BOUND)
 
+    if formula is None:
+        formula = encode_normal(h)
     levels = [[compile_evaluator(c, L3) for c in level]
-              for level in _by_level(order, _conjuncts(encode_normal(h)), variables)]
+              for level in _by_level(order, _conjuncts(formula), variables)]
 
     def check(codes, conjuncts):
         values = _THREE_FLOATS[codes]
@@ -149,56 +153,124 @@ def _counterexample(h: HAFS, explanation: str, **payload) -> dict:
     return out
 
 
+# -- inputs shared by the checks of one invocation -----------------------------
+
+
+class _Inputs:
+    """What several checks of one ``verify`` invocation on ``h`` read from
+    the same view, each computed when a check first reads it.
+
+    Shared: the digest, the complete labellings (T2, T_PL3, IDEM,
+    CORR_G), the complete extensions (T1, T2), the encoded formula
+    (T_PL3, EQ_*), the equation system per logic, and per logic its
+    fixed-point reports and exact ternary solutions (T16 and CORR_G under
+    Gödel).  The EQ_* ids in ``theorem_ids`` share their grid: the first
+    of them to run tests each drawn chunk, and the float samples, under
+    all of them (:func:`_check_equation_equivalence`).  Only an input
+    that both checks read from the same view is shared, never one side of
+    a cross-check for the other: extensions against labellings, PL3
+    models against labellings, the formula against the equations and
+    ternary solutions against labellings still come from different code
+    paths.  Each input is keyed by the parameters it depends on, so the
+    reports are the same with or without sharing; a fresh object shares
+    nothing, and one lives for one invocation only.
+    """
+
+    __slots__ = ("h", "eq_ids", "_made")
+
+    def __init__(self, h: HAFS, theorem_ids=()):
+        self.h = h
+        self.eq_ids = tuple(t for t in dict.fromkeys(theorem_ids) if t in _EQ_LOGICS)
+        self._made: dict = {}
+
+    def _once(self, key, make, *args, **kwargs):
+        if key not in self._made:  # a producer that raises leaves nothing behind
+            self._made[key] = make(*args, **kwargs)
+        return self._made[key]
+
+    def digest(self) -> str:
+        return self._once("digest", framework_digest, self.h)
+
+    def formula(self) -> Formula:
+        return self._once("formula", encode_normal, self.h)
+
+    def labellings(self, bound: int) -> tuple[Labelling3, ...]:
+        return self._once(("labellings", bound), enumerate_adjacent_complete, self.h,
+                          bound=bound)
+
+    def extensions(self, bound: int) -> tuple:
+        return self._once(("extensions", bound), enumerate_extensions, self.h, "complete",
+                          bound=bound)
+
+    # systems are keyed by the logic's identity, since logics compare by name
+    # and flags only; each system holds its logic, so the id stays unique
+    def system(self, logic: LogicSystem) -> EquationSystem:
+        return self._once(("system", id(logic)), build_equations, self.h, logic)
+
+    def fixed_points(self, logic: LogicSystem, seed: int) -> list:
+        return self._once(("fixed_points", id(logic), seed), solve_fixed_point,
+                          self.system(logic), seed=seed)
+
+    def ternary_solutions(self, logic: LogicSystem, bound: int) -> tuple[Assignment, ...]:
+        return self._once(("ternary", id(logic), bound), enumerate_ternary_solutions,
+                          self.system(logic), bound=bound)
+
+    def eq_report(self, theorem_id: str, grid_cap: int, float_samples: int,
+                  seed: int) -> VerificationReport:
+        reports = self._made.setdefault(("eq", grid_cap, float_samples, seed), {})
+        if theorem_id not in reports:
+            ids = self.eq_ids if theorem_id in self.eq_ids else (theorem_id,)
+            reports.update(_check_equation_equivalence(self, ids, grid_cap, float_samples,
+                                                       seed))
+        return reports[theorem_id]
+
+
 # -- individual checkers -------------------------------------------------------
 
 
-def _check_derived_is_adjacent(h: HAFS, bound: int) -> VerificationReport:
-    digest = framework_digest(h)
-    for extension in enumerate_extensions(h, "complete", bound=bound):
+def _check_derived_is_adjacent(inputs: _Inputs, bound: int) -> VerificationReport:
+    h = inputs.h
+    for extension in inputs.extensions(bound):
         labelling = extension_derived_labelling(h, extension)
         if not is_adjacent_complete(h, labelling):
-            return VerificationReport("T1", digest, False, _counterexample(
+            return VerificationReport("T1", inputs.digest(), False, _counterexample(
                 h, "labelling derived from a complete extension fails the "
                    "per-element conditions",
                 extension=sorted(x.qualified for x in extension),
                 labelling=labelling.to_json_obj(),
             ))
-    return VerificationReport("T1", digest, True)
+    return VerificationReport("T1", inputs.digest(), True)
 
 
-def _check_families_coincide(h: HAFS, bound: int) -> VerificationReport:
-    digest = framework_digest(h)
+def _check_families_coincide(inputs: _Inputs, bound: int) -> VerificationReport:
+    h = inputs.h
     if not is_support_acyclic(h):
         raise PreconditionError("the support graph has a cycle; this check "
                                 "applies to support-acyclic frameworks only")
-    derived = {
-        extension_derived_labelling(h, E)
-        for E in enumerate_extensions(h, "complete", bound=bound)
-    }
-    adjacent = set(enumerate_adjacent_complete(h, bound=bound))
+    derived = {extension_derived_labelling(h, E) for E in inputs.extensions(bound)}
+    adjacent = set(inputs.labellings(bound))
     if derived != adjacent:
         sample = next(iter(derived.symmetric_difference(adjacent)))
         side = "extension-derived only" if sample in derived else "adjacent only"
-        return VerificationReport("T2", digest, False, _counterexample(
+        return VerificationReport("T2", inputs.digest(), False, _counterexample(
             h, f"labelling found on one side only ({side})",
             labelling=sample.to_json_obj(),
         ))
-    return VerificationReport("T2", digest, True,
+    return VerificationReport("T2", inputs.digest(), True,
                               notes={"labellings": len(adjacent)})
 
 
-def _check_pl3_models(h: HAFS, bound: int) -> VerificationReport:
-    digest = framework_digest(h)
-    adjacent = set(enumerate_adjacent_complete(h, bound=bound))
-    models = set(enumerate_pl3_models(h, bound=bound))
+def _check_pl3_models(inputs: _Inputs, bound: int) -> VerificationReport:
+    adjacent = set(inputs.labellings(bound))
+    models = set(enumerate_pl3_models(inputs.h, bound=bound, formula=inputs.formula()))
     if adjacent != models:
         sample = next(iter(adjacent.symmetric_difference(models)))
         side = "labelling only" if sample in adjacent else "model only"
-        return VerificationReport("T_PL3", digest, False, _counterexample(
-            h, f"three-valued assignment found on one side only ({side})",
+        return VerificationReport("T_PL3", inputs.digest(), False, _counterexample(
+            inputs.h, f"three-valued assignment found on one side only ({side})",
             assignment=sample.to_json_obj(),
         ))
-    return VerificationReport("T_PL3", digest, True, notes={"models": len(models)})
+    return VerificationReport("T_PL3", inputs.digest(), True, notes={"models": len(models)})
 
 
 # -- exact quarter-grid sweep ---------------------------------------------------
@@ -253,18 +325,23 @@ def _grid_verdicts(formulas, equations, logic: LogicSystem, positions,
 def _level_check(formula: Formula, system: EquationSystem):
     """(levels, check) for :func:`_frontier`: the conjuncts and the
     equations by level, each grouped by its own variables and paired with
-    its level, and their (rows, 2) model and solution verdicts, read from
-    the columns up to the highest level tested."""
+    their columns, and their (rows, 2) model and solution verdicts.
+
+    A check gathers only the columns that the items it tests read, so a
+    sampled chunk, tested level by level, pays about one gather per
+    element and two per relation, not one per column up to each level.
+    """
     order = system.universe
-    levels = _by_level(order, _conjuncts(formula) + system.equations,
-                       lambda x: _equation_variables(x) if isinstance(x, Equation)
-                       else variables(x))
-    levels = [[(k, x) for x in level] for k, level in enumerate(levels)]
+    position = {e: j for j, e in enumerate(order)}
+    items = [(x, _equation_variables(x) if isinstance(x, Equation) else variables(x))
+             for x in _conjuncts(formula) + system.equations]
+    levels = [[({position[e] for e in xs}, x) for x, xs in level]
+              for level in _by_level(order, items, lambda item: item[1])]
 
     def check(codes, items):
         fs = [x for _, x in items if not isinstance(x, Equation)]
         eqs = [x for _, x in items if isinstance(x, Equation)]
-        positions = list(enumerate(order[:max(k for k, _ in items)]))
+        positions = [(j, order[j]) for j in sorted(set().union(*(cols for cols, _ in items)))]
         return np.column_stack(_exact(_grid_verdicts, fs, eqs, system.logic, positions,
                                       codes))
     return levels, check
@@ -303,125 +380,164 @@ def _draw_codes(rng: random.Random, count: int) -> np.ndarray:
     return np.concatenate(batches)
 
 
-def _sampled_verdicts(formula: Formula, system: EquationSystem, rng: random.Random,
-                      rows: int):
-    """(codes, model, solution) chunks of ``rows`` quarter-grid rows drawn
-    point-major from ``rng``, less the rows on which both sides fail.
+def _draw_floats(rng: random.Random, count: int) -> np.ndarray:
+    """``[rng.random() for _ in range(count)]`` as a float64 array, leaving
+    ``rng`` in the same state as that list would.
 
-    Each drawn chunk is tested level by level, as the exhaustive sweep
-    tests its partial rows, and a row is dropped once both sides have
-    failed on it; the rows kept stay in the order drawn.
+    CPython's ``random()`` takes two 32-bit Mersenne Twister outputs a
+    and b and returns ((a >> 5) * 2^26 + (b >> 6)) / 2^53, which is exact
+    in float64.  One ``getrandbits(64 * count)`` draws the same outputs in
+    order, the first as its least significant word.
     """
-    levels, check = _level_check(formula, system)
-    n = len(system.universe)
+    raw = rng.getrandbits(64 * count).to_bytes(8 * count, "little")
+    words = np.frombuffer(raw, dtype="<u4").reshape(count, 2)
+    return ((words[:, 0] >> 5) * 67108864.0 + (words[:, 1] >> 6)) / 9007199254740992.0
+
+
+def _drawn_chunks(rng: random.Random, width: int, rows: int):
+    """``rows`` quarter-grid rows over ``width`` columns, drawn point-major
+    from ``rng`` as code chunks of at most ``_EQ_CHUNK_ROWS`` rows."""
     for start in range(0, rows, _EQ_CHUNK_ROWS):
         count = min(_EQ_CHUNK_ROWS, rows - start)
-        codes = _draw_codes(rng, count * n).reshape(count, n)
-        alive = np.ones((count, 2), dtype=bool)
-        for k in range(n + 1):
-            if not len(codes):
-                break
-            codes, alive = _survivors(check, codes, alive, levels[k])
-        yield codes, alive[:, 0], alive[:, 1]
+        yield _draw_codes(rng, count * width).reshape(count, width)
 
 
-def _check_equation_equivalence(theorem_id: str, h: HAFS, logic: LogicSystem,
-                                grid_cap: int, float_samples: int,
-                                seed: int) -> VerificationReport:
-    digest = framework_digest(h)
-    system = build_equations(h, logic)
-    formula = encode_normal(h)
-    evaluator = compile_evaluator(formula, logic)
+def _sampled_verdicts(codes: np.ndarray, levels, check):
+    """(codes, model, solution) of the rows of a drawn chunk less those on
+    which both sides fail, in the order drawn, for the ``levels`` and
+    ``check`` of :func:`_level_check`.
+
+    The chunk is tested level by level, as the exhaustive sweep tests its
+    partial rows, and a row is dropped once both sides have failed on it.
+    """
+    alive = np.ones((len(codes), 2), dtype=bool)
+    for items in levels:
+        if not len(codes):
+            break
+        codes, alive = _survivors(check, codes, alive, items)
+    return codes, alive[:, 0], alive[:, 1]
+
+
+def _check_equation_equivalence(inputs: _Inputs, theorem_ids, grid_cap: int,
+                                float_samples: int, seed: int) -> dict:
+    """The report of each of the distinct EQ_* ``theorem_ids``, as each
+    would be alone.
+
+    Every id tests the same rows: the whole quarter grid when it has at
+    most ``grid_cap`` rows, else ``grid_cap`` rows drawn from
+    ``random.Random(seed)``, and then ``float_samples`` float points drawn
+    from the same generator.  Each drawn chunk is tested under every logic
+    that has not failed yet before the next is drawn, so only one chunk is
+    held; a logic stops at its first disagreement, the others go on.
+    """
+    h = inputs.h
     order = h.universe
+    formula = inputs.formula()
+    systems = {t: inputs.system(_EQ_LOGICS[t]) for t in theorem_ids}
+    reports = {}
 
-    exhaustive = 5 ** len(order) <= grid_cap
-    rng = random.Random(seed)
-    notes = {"grid": "exhaustive" if exhaustive else f"sampled({grid_cap})",
-             "float_samples": float_samples}
+    def failed(t, explanation, assignment):
+        reports[t] = VerificationReport(t, inputs.digest(), False, _counterexample(
+            h, explanation, assignment=assignment))
 
-    # the float samples continue from the rng state the sampled grid leaves
-    chunks = (_exhaustive_verdicts(formula, system) if exhaustive
-              else _sampled_verdicts(formula, system, rng, grid_cap))
-    for codes, model, solution in chunks:
+    def test_grid(t, codes, model, solution):
         disagree = np.flatnonzero(model != solution)
         if disagree.size:
             row = disagree[0]
             model, solution = bool(model[row]), bool(solution[row])
-            return VerificationReport(theorem_id, digest, False, _counterexample(
-                h, f"exact grid point is {'a model' if model else 'not a model'} "
-                   f"but {'a solution' if solution else 'not a solution'}",
-                assignment={e.qualified: str(Fraction(int(k), 4))
-                            for e, k in zip(order, codes[row])},
-            ))
+            failed(t, f"exact grid point is {'a model' if model else 'not a model'} "
+                      f"but {'a solution' if solution else 'not a solution'}",
+                   {e.qualified: str(Fraction(int(k), 4)) for e, k in zip(order, codes[row])})
 
-    # drawn point-major, as a per-point loop would; each side in one array pass
-    draws = np.array([rng.random() for _ in range(float_samples * len(order))])
-    draws = draws.reshape(float_samples, len(order))
-    models = evaluator({e: draws[:, j] for j, e in enumerate(order)}) == 1.0
-    near_solutions = system.residuals(draws) <= FLOAT_RESIDUAL_TOL
-    disagree = np.flatnonzero(models != near_solutions)
-    if disagree.size:
-        point = draws[disagree[0]].tolist()
-        return VerificationReport(theorem_id, digest, False, _counterexample(
-            h, "float assignment verdicts disagree between the encoded "
-               "formula and the equation residual",
-            assignment={e.qualified: float(f"{v:.12g}") for e, v in zip(order, point)},
-        ))
-    return VerificationReport(theorem_id, digest, True, notes=notes)
+    exhaustive = 5 ** len(order) <= grid_cap
+    rng = random.Random(seed)
+    if exhaustive:
+        for t in theorem_ids:
+            for chunk in _exhaustive_verdicts(formula, systems[t]):
+                test_grid(t, *chunk)
+                if t in reports:
+                    break
+    else:
+        checks = {t: _level_check(formula, systems[t]) for t in theorem_ids}
+        for codes in _drawn_chunks(rng, len(order), grid_cap):
+            for t in [t for t in theorem_ids if t not in reports]:
+                test_grid(t, *_sampled_verdicts(codes, *checks[t]))
+            if len(reports) == len(theorem_ids):
+                break
+
+    left = [t for t in theorem_ids if t not in reports]
+    if not left:
+        return reports
+    # drawn point-major, as a per-point loop would, continuing from the
+    # generator state the sampled grid leaves; each side in one array pass
+    draws = _draw_floats(rng, float_samples * len(order)).reshape(float_samples, len(order))
+    columns = {e: draws[:, j] for j, e in enumerate(order)}
+    for t in left:
+        models = compile_evaluator(formula, systems[t].logic)(columns) == 1.0
+        near_solutions = systems[t].residuals(draws) <= FLOAT_RESIDUAL_TOL
+        disagree = np.flatnonzero(models != near_solutions)
+        if disagree.size:
+            point = draws[disagree[0]].tolist()
+            failed(t, "float assignment verdicts disagree between the encoded "
+                      "formula and the equation residual",
+                   {e.qualified: float(f"{v:.12g}") for e, v in zip(order, point)})
+        else:
+            reports[t] = VerificationReport(t, inputs.digest(), True, notes={
+                "grid": "exhaustive" if exhaustive else f"sampled({grid_cap})",
+                "float_samples": float_samples})
+    return reports
 
 
-def _check_ternarized_solutions(h: HAFS, logic: LogicSystem, seed: int,
+def _check_ternarized_solutions(inputs: _Inputs, logic: LogicSystem, seed: int,
                                 bound: int) -> VerificationReport:
-    digest = framework_digest(h)
     if not logic.zero_divisor_free:
         raise PreconditionError(
             f"logic {logic.name} has zero divisors; solution ternarization "
             "is only guaranteed without them"
         )
-    system = build_equations(h, logic)
+    h = inputs.h
     candidates: list[tuple[str, Assignment]] = []
-    for report in solve_fixed_point(system, seed=seed):
+    for report in inputs.fixed_points(logic, seed):
         if report.converged:
             candidates.append(("fixed-point", report.solution))
-    for solution in enumerate_ternary_solutions(system, bound=bound):
+    for solution in inputs.ternary_solutions(logic, bound):
         candidates.append(("ternary-grid", solution))
     for origin, solution in candidates:
         labelling = ternarize(solution)
         if not is_adjacent_complete(h, labelling):
-            return VerificationReport("T16", digest, False, _counterexample(
+            return VerificationReport("T16", inputs.digest(), False, _counterexample(
                 h, f"{origin} solution ternarizes to a non-complete labelling "
                    f"under {logic.name}",
                 assignment=solution.to_json_obj(),
                 labelling=labelling.to_json_obj(),
             ))
-    return VerificationReport("T16", digest, True,
+    return VerificationReport("T16", inputs.digest(), True,
                               notes={"logic": logic.name,
                                      "solutions_checked": len(candidates)})
 
 
-def _check_labellings_solve(h: HAFS, logic: LogicSystem, bound: int) -> VerificationReport:
-    digest = framework_digest(h)
+def _check_labellings_solve(inputs: _Inputs, logic: LogicSystem,
+                            bound: int) -> VerificationReport:
     if not logic.half_idempotent:
         raise PreconditionError(
             f"the {logic.name} t-norm does not fix 1/2; labellings need not "
             "solve its equations"
         )
-    system = build_equations(h, logic)
-    for labelling in enumerate_adjacent_complete(h, bound=bound):
+    system = inputs.system(logic)
+    for labelling in inputs.labellings(bound):
         if not system.is_exact_solution(embed(labelling)):
-            return VerificationReport("IDEM", digest, False, _counterexample(
-                h, f"labelling is not an exact solution under {logic.name}",
+            return VerificationReport("IDEM", inputs.digest(), False, _counterexample(
+                inputs.h, f"labelling is not an exact solution under {logic.name}",
                 labelling=labelling.to_json_obj(),
                 residual=str(Fraction(system.residual(embed(labelling)))),
             ))
-    return VerificationReport("IDEM", digest, True, notes={"logic": logic.name})
+    return VerificationReport("IDEM", inputs.digest(), True, notes={"logic": logic.name})
 
 
-def _check_godel_correspondence(h: HAFS, seed: int, bound: int) -> VerificationReport:
-    digest = framework_digest(h)
-    system = build_equations(h, GODEL)
-    adjacent = set(enumerate_adjacent_complete(h, bound=bound))
-    ternary = {ternarize(v) for v in enumerate_ternary_solutions(system, bound=bound)}
+def _check_godel_correspondence(inputs: _Inputs, seed: int, bound: int) -> VerificationReport:
+    h = inputs.h
+    adjacent = set(inputs.labellings(bound))
+    ternary = {ternarize(v) for v in inputs.ternary_solutions(GODEL, bound)}
     notes = {
         "backward": "exhaustive over the {0,1/2,1} grid",
         "forward": "sampled from fixed-point runs",
@@ -429,21 +545,21 @@ def _check_godel_correspondence(h: HAFS, seed: int, bound: int) -> VerificationR
     if adjacent != ternary:
         sample = next(iter(adjacent.symmetric_difference(ternary)))
         side = "labelling only" if sample in adjacent else "ternary solution only"
-        return VerificationReport("CORR_G", digest, False, _counterexample(
+        return VerificationReport("CORR_G", inputs.digest(), False, _counterexample(
             h, f"three-valued map found on one side only ({side})",
             labelling=sample.to_json_obj(),
         ), notes=notes)
-    for report in solve_fixed_point(system, seed=seed):
+    for report in inputs.fixed_points(GODEL, seed):
         if not report.converged:
             continue
         labelling = ternarize(report.solution)
         if labelling not in adjacent:
-            return VerificationReport("CORR_G", digest, False, _counterexample(
+            return VerificationReport("CORR_G", inputs.digest(), False, _counterexample(
                 h, "fixed-point solution ternarizes outside the labelling family",
                 assignment=report.solution.to_json_obj(),
                 labelling=labelling.to_json_obj(),
             ), notes=notes)
-    return VerificationReport("CORR_G", digest, True, notes=notes)
+    return VerificationReport("CORR_G", inputs.digest(), True, notes=notes)
 
 
 # -- dispatch -------------------------------------------------------------------
@@ -451,7 +567,7 @@ def _check_godel_correspondence(h: HAFS, seed: int, bound: int) -> VerificationR
 
 def verify(h: HAFS, theorem_id: str, logic: LogicSystem | str | None = None,
            seed: int = 0, bound: int = 8, grid_cap: int = 100_000,
-           float_samples: int = 200) -> VerificationReport:
+           float_samples: int = 200, *, inputs: _Inputs | None = None) -> VerificationReport:
     """Run one theorem check; see THEOREM_IDS for the available ids.
 
     ``bound`` caps the universe size for the exhaustive enumerations.
@@ -459,25 +575,33 @@ def verify(h: HAFS, theorem_id: str, logic: LogicSystem | str | None = None,
     EQ_G/EQ_P/EQ_L and CORR_G ids fix their own logic.  ``grid_cap`` and
     ``float_samples``, the quarter-grid rows and float points of the EQ_*
     checks, must be >= 0.
+
+    ``inputs`` (a :class:`_Inputs` of ``h``) lets the checks of one
+    invocation compute what they share once; it selects no behaviour, and
+    the report is the same with it or without.  By default the check
+    gets a fresh one and does no work beyond its own.
     """
     if grid_cap < 0 or float_samples < 0:
         raise PreconditionError("grid_cap and float_samples must be >= 0")
+    if inputs is None:
+        inputs = _Inputs(h)
+    elif inputs.h is not h:
+        raise ValueError("inputs belong to another framework")
     if isinstance(logic, str):
         logic = get_logic(logic)
     if theorem_id == "T1":
-        return _check_derived_is_adjacent(h, bound)
+        return _check_derived_is_adjacent(inputs, bound)
     if theorem_id == "T2":
-        return _check_families_coincide(h, bound)
+        return _check_families_coincide(inputs, bound)
     if theorem_id == "T_PL3":
-        return _check_pl3_models(h, bound)
+        return _check_pl3_models(inputs, bound)
     if theorem_id in _EQ_LOGICS:
-        return _check_equation_equivalence(theorem_id, h, _EQ_LOGICS[theorem_id], grid_cap,
-                                           float_samples, seed)
+        return inputs.eq_report(theorem_id, grid_cap, float_samples, seed)
     if theorem_id == "T16":
-        return _check_ternarized_solutions(h, logic or GODEL, seed, bound)
+        return _check_ternarized_solutions(inputs, logic or GODEL, seed, bound)
     if theorem_id == "IDEM":
-        return _check_labellings_solve(h, logic or GODEL, bound)
+        return _check_labellings_solve(inputs, logic or GODEL, bound)
     if theorem_id == "CORR_G":
-        return _check_godel_correspondence(h, seed, bound)
+        return _check_godel_correspondence(inputs, seed, bound)
     known = ", ".join(THEOREM_IDS)
     raise ValidationError(f"unknown theorem id {theorem_id!r} (known: {known})")

@@ -220,10 +220,11 @@ def _cmd_solve(opts, stdin, stdout) -> int:
 
 def _cmd_verify(opts, stdin, stdout) -> int:
     h = _read_framework(opts.input, stdin)
+    shared = bridge._Inputs(h, opts.theorem)  # what several of the checks read, made once
     reports = [
         bridge.verify(h, theorem_id, logic=opts.logic, seed=opts.seed,
                       bound=opts.bound, grid_cap=opts.grid_cap,
-                      float_samples=opts.float_samples)
+                      float_samples=opts.float_samples, inputs=shared)
         for theorem_id in opts.theorem
     ]
     _emit_json(stdout, {"reports": [r.to_json_obj() for r in reports]})

@@ -59,17 +59,25 @@ class Equation:
 class EquationSystem:
     """One equation per universe element, under a fixed logic."""
 
-    __slots__ = ("framework", "logic", "equations")
+    __slots__ = ("framework", "logic", "_equations")
 
     def __init__(self, framework: HAFS, logic: LogicSystem):
         self.framework = framework
         self.logic = logic
-        u = framework.universe
-        self.equations = tuple(
-            Equation(a, tuple((u[b], u[r]) for b, r in attacks),
-                     tuple((u[c], u[t]) for c, t in supports))
-            for a, (attacks, supports) in zip(u, framework.incidence.incoming)
-        )
+        self._equations = None
+
+    @property
+    def equations(self) -> tuple[Equation, ...]:
+        """The equations in universe order, built on first read: the
+        fixed-point search reads the framework's incidence instead."""
+        if self._equations is None:
+            u = self.framework.universe
+            self._equations = tuple(
+                Equation(a, tuple((u[b], u[r]) for b, r in attacks),
+                         tuple((u[c], u[t]) for c, t in supports))
+                for a, (attacks, supports) in zip(u, self.framework.incidence.incoming)
+            )
+        return self._equations
 
     @property
     def universe(self) -> tuple[ElementId, ...]:
@@ -591,7 +599,7 @@ def _fold_q(tnorm, terms, one):
 def _quarter_columns(positions, codes: np.ndarray, dtype) -> dict:
     """Exact values of the elements at (column, element) ``positions``."""
     num, den = _QUARTER_NUM.astype(dtype), _QUARTER_DEN.astype(dtype)
-    return {e: (num[codes[:, j]], den[codes[:, j]]) for j, e in positions}
+    return {e: (num.take(codes[:, j]), den.take(codes[:, j])) for j, e in positions}
 
 
 def _solution_mask(equations, logic: LogicSystem, columns: dict,

@@ -1,3 +1,5 @@
+import io
+import json
 import random
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ from hafs import (Assignment, GODEL, LUKASIEWICZ, PRODUCT, PreconditionError,
                   is_model, support_id, ternarize, verify)
 from hafs import bridge
 from hafs.bridge import FLOAT_RESIDUAL_TOL, VerificationReport
+from hafs.cli import run
 from hafs.equations import EquationSystem, _quarter_columns, _reduced, _solution_mask
 from hafs.labellings import HALF, ONE, THREE_VALUES, ZERO, grid_codes
 from hafs.logic import _fold
@@ -385,9 +388,11 @@ class TestEquationOracle:
                 if model or solution:
                     expected.append((codes, model, solution))
             rng = random.Random(i)
+            levels, check = bridge._level_check(formula, system)
             rows = [(tuple(codes), model, solution)
-                    for chunk in bridge._sampled_verdicts(formula, system, rng, 700)
-                    for codes, model, solution in zip(*(a.tolist() for a in chunk))]
+                    for drawn in bridge._drawn_chunks(rng, len(h), 700)
+                    for codes, model, solution in zip(*(
+                        a.tolist() for a in bridge._sampled_verdicts(drawn, levels, check)))]
             assert rows == expected, hafs.serialize(h)
             assert rng.getstate() == reference.getstate()
 
@@ -435,6 +440,224 @@ class TestDrawCodes:
         assert bulk.random() == reference.random()
         # each 32-bit word drawn is one the loop consumed: none is drawn twice
         assert sum(bulk.calls) // 32 == len(reference.calls)
+
+
+class TestDrawFloats:
+    """The bulk float draw against the ``random()`` loop it replaces."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("count", [0, 1, 1600])
+    def test_matches_random_and_end_state(self, seed, count):
+        reference = random.Random(seed)
+        expected = [reference.random() for _ in range(count)]
+        bulk = random.Random(seed)
+        values = bridge._draw_floats(bulk, count)
+        assert values.dtype == np.float64 and values.tolist() == expected
+        assert bulk.getstate() == reference.getstate()
+        assert bulk.random() == reference.random()
+
+
+def _cli(argv, text):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    code = run(argv, stdin=io.StringIO(text), stdout=stdout, stderr=stderr)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def _single_id_calls(ids, text, options):
+    """What one ``hafs verify`` call with ``ids`` should give, put together
+    from one call per id: every report in order, or the exit code and
+    message of the first id whose call fails with an error."""
+    reports = []
+    for theorem_id in ids:
+        code, out, err = _cli(["verify", "-", "--theorem", theorem_id] + options, text)
+        if err:
+            return code, out, err
+        reports += json.loads(out)["reports"]
+    out = json.dumps({"reports": reports}, indent=2, sort_keys=True) + "\n"
+    return (0 if all(r["passed"] for r in reports) else 1), out, ""
+
+
+def _one_call(ids, text, options):
+    return _cli(["verify", "-"] + [a for t in ids for a in ("--theorem", t)] + options, text)
+
+
+def _applicable(h, logic):
+    rejected = {"T2"} if not hafs.is_support_acyclic(h) else set()
+    rejected |= {"lukasiewicz": {"T16", "IDEM"}, "product": {"IDEM"}}.get(logic, set())
+    return [t for t in THEOREM_IDS if t not in rejected]
+
+
+class TestSharedInputs:
+    """One ``verify`` invocation computes each input its checks share once,
+    and gives the same reports, exit code and errors as one call per id."""
+
+    # |U| <= 8; with --grid-cap 300 and 64-row chunks, |U| <= 3 sweeps the
+    # whole grid and larger frameworks draw several chunks
+    FRAMEWORKS = corpus(10, max_u=8, seed_base=17_000)
+    OPTIONS = ["--grid-cap", "300", "--float-samples", "20"]
+
+    @pytest.mark.parametrize("logic", ["godel", "product", "lukasiewicz"])
+    def test_one_call_equals_the_single_id_calls(self, monkeypatch, logic):
+        monkeypatch.setattr(bridge, "_EQ_CHUNK_ROWS", 64)
+        rng = random.Random(17)
+        for i, (h, _) in enumerate(self.FRAMEWORKS):
+            text = hafs.serialize(h)
+            options = self.OPTIONS + ["--logic", logic, "--seed", str(i)]
+            applicable = _applicable(h, logic)
+            repeated = applicable + [rng.choice(applicable), "EQ_P", "CORR_G"]
+            rng.shuffle(repeated)
+            # every id, so that an id this framework or logic rejects raises
+            # from a drawn place in the order
+            every = list(THEOREM_IDS)
+            rng.shuffle(every)
+            for ids in (applicable, repeated, every):
+                expected = _single_id_calls(ids, text, options)
+                assert _one_call(ids, text, options) == expected, (text, ids)
+
+    def test_first_raising_id_wins(self, example3):
+        # example3 has a support cycle, so T2 raises; under product IDEM
+        # raises too, under lukasiewicz T16
+        text = hafs.serialize(example3)
+        for ids, logic, message in (
+                (["EQ_G", "T2", "IDEM"], "product", "cycle"),
+                (["EQ_G", "CORR_G", "IDEM", "T2"], "product", "does not fix 1/2"),
+                (["T16", "EQ_L", "T2"], "lukasiewicz", "zero divisors")):
+            options = self.OPTIONS + ["--logic", logic]
+            code, out, err = _one_call(ids, text, options)
+            assert (code, out, err) == _single_id_calls(ids, text, options)
+            assert code == 1 and out == "" and message in err
+
+    @staticmethod
+    def _invert(monkeypatch, rows_by_logic, sample_by_logic):
+        """Invert, per logic, the solution verdict of the grid rows given as
+        (codes, whether they solve the equations) in every full-width call
+        of ``_grid_verdicts`` (as ``TestExactGrid`` does), and the residual
+        verdict of the float sample numbered in ``sample_by_logic``."""
+        verdicts, residuals = bridge._grid_verdicts, EquationSystem.residuals
+
+        def flipped(formulas, equations, logic, positions, codes, dtype):
+            model, solution = verdicts(formulas, equations, logic, positions, codes, dtype)
+            for target, truth in rows_by_logic.get(logic, ()):
+                if codes.shape[1] == len(target):
+                    solution = np.where((codes == target).all(axis=1), not truth, solution)
+            return model, solution
+
+        def inverted(system, points):
+            gaps = residuals(system, points)
+            row = sample_by_logic.get(system.logic)
+            if row is not None and row < len(gaps):
+                gaps[row] = 1.0 if gaps[row] <= FLOAT_RESIDUAL_TOL else 0.0
+            return gaps
+
+        monkeypatch.setattr(bridge, "_grid_verdicts", flipped)
+        monkeypatch.setattr(EquationSystem, "residuals", inverted)
+
+    def test_early_failure_of_one_eq_logic_leaves_the_others_alone(self, monkeypatch):
+        # EQ_G fails on a row of the first drawn chunk (and would again on a
+        # later one), EQ_P on the last row drawn and EQ_L on a float sample,
+        # so EQ_P and EQ_L must still test every chunk, and draw the float
+        # samples where the grid left off; each report is also checked
+        # against the unpruned scalar sweep
+        monkeypatch.setattr(bridge, "_EQ_CHUNK_ROWS", 64)
+        checked = 0
+        for i, (h, _) in enumerate(self.FRAMEWORKS):
+            if 5 ** len(h) <= 300:
+                continue
+            drawn = random.Random(i)
+            rows = [np.array([drawn.randrange(5) for _ in h.universe], dtype=np.int8)
+                    for _ in range(300)]
+
+            def inverted(logic, *picked, h=h):
+                return [(rows[j], build_equations(h, logic).is_exact_solution(
+                    {e: Fraction(int(k), 4) for e, k in zip(h.universe, rows[j])}))
+                    for j in picked]
+
+            ids = ["EQ_G", "T1", "EQ_P", "EQ_L"]
+            options = self.OPTIONS + ["--seed", str(i)]
+            text = hafs.serialize(h)
+            with monkeypatch.context() as patch:
+                self._invert(patch, {GODEL: inverted(GODEL, 9, 200),
+                                     PRODUCT: inverted(PRODUCT, 299)}, {LUKASIEWICZ: 4})
+                code, out, err = _one_call(ids, text, options)
+                assert (code, out, err) == _single_id_calls(ids, text, options), text
+            reports = json.loads(out)["reports"]
+            assert [r["passed"] for r in reports] == [False, True, False, False]
+            oracle = {"grid_cap": 300, "float_samples": 20, "seed": i}
+            codes = [tuple(row.tolist()) for row in rows]
+            assert [reports[0], reports[2], reports[3]] == [
+                equation_equivalence_report("EQ_G", h, GODEL, **oracle,
+                                            flipped=frozenset([codes[9], codes[200]])),
+                equation_equivalence_report("EQ_P", h, PRODUCT, **oracle,
+                                            flipped=frozenset([codes[299]])),
+                equation_equivalence_report("EQ_L", h, LUKASIEWICZ, **oracle,
+                                            flipped_samples=frozenset([4]))], text
+            checked += 1
+        assert checked >= 3
+
+    @pytest.mark.parametrize("logic", ["godel", "product"])
+    def test_each_shared_input_is_made_once(self, monkeypatch, logic):
+        # an 8-element framework whose grid is sampled: every shared producer
+        # runs once per view, and the codes and float samples are drawn once
+        # for all three EQ_* ids; T16 shares CORR_G's solve under Gödel only
+        h = next(h for h, acyclic in corpus(40, max_u=8, seed_base=17_100)
+                 if acyclic and len(h) == 8)
+        calls = {}
+
+        def spy(name):
+            original = getattr(bridge, name)
+
+            def counted(*args, **kwargs):
+                calls.setdefault(name, []).append(args)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(bridge, name, counted)
+
+        for name in ("enumerate_adjacent_complete", "enumerate_extensions", "encode_normal",
+                     "build_equations", "solve_fixed_point", "enumerate_ternary_solutions",
+                     "framework_digest", "_draw_codes", "_draw_floats"):
+            spy(name)
+        ids = [t for t in THEOREM_IDS if t != "IDEM" or logic == "godel"]
+        code, out, _ = _one_call(ids, hafs.serialize(h),
+                                 ["--grid-cap", "2000", "--float-samples", "30",
+                                  "--logic", logic])
+        assert code == 0 and len(json.loads(out)["reports"]) == len(ids)
+        solves = 1 if logic == "godel" else 2
+        counts = {name: len(args) for name, args in calls.items()}
+        assert counts == {"enumerate_adjacent_complete": 1, "enumerate_extensions": 1,
+                          "encode_normal": 1, "build_equations": 3, "solve_fixed_point": solves,
+                          "enumerate_ternary_solutions": solves, "framework_digest": 1,
+                          "_draw_codes": 1, "_draw_floats": 1}
+        assert [args[1] for args in calls["build_equations"]] == [GODEL, PRODUCT, LUKASIEWICZ]
+        expected = [GODEL] if logic == "godel" else [PRODUCT, GODEL]  # T16, then CORR_G
+        for name in ("solve_fixed_point", "enumerate_ternary_solutions"):
+            assert [args[0].logic for args in calls[name]] == expected
+        assert [args[1] for args in calls["_draw_codes"]] == [2000 * len(h)]
+        assert [args[1] for args in calls["_draw_floats"]] == [30 * len(h)]
+
+    def test_reports_are_the_same_with_or_without_shared_inputs(self, monkeypatch, example3,
+                                                                 f3, f6):
+        # float sample 3 is inverted, so that each EQ_* report names a
+        # sample drawn from its own seed; one object read under two seeds
+        # and two bounds gives each call's own report or error
+        self._invert(monkeypatch, {}, {GODEL: 3, PRODUCT: 3, LUKASIEWICZ: 3})
+
+        def outcome(h, theorem_id, **options):
+            try:
+                return verify(h, theorem_id, grid_cap=50, float_samples=10,
+                              **options).to_json_obj()
+            except hafs.SizeBoundError as exc:
+                return str(exc)
+
+        for h in (example3, f3, f6):
+            shared = bridge._Inputs(h, THEOREM_IDS)
+            for seed, bound in ((0, 8), (1, 8), (1, 2)):
+                for theorem_id in _applicable(h, "godel"):
+                    assert outcome(h, theorem_id, seed=seed, bound=bound, inputs=shared) == \
+                        outcome(h, theorem_id, seed=seed, bound=bound), \
+                        (hafs.serialize(h), theorem_id, seed, bound)
+
+    def test_inputs_of_another_framework_are_rejected(self, example3, f3):
+        with pytest.raises(ValueError):
+            verify(f3, "T1", inputs=bridge._Inputs(example3))
 
 
 class TestReports:
