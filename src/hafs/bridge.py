@@ -16,12 +16,12 @@ from collections.abc import Mapping
 from fractions import Fraction
 import numpy as np
 
-from .equations import (Equation, EquationSystem, _equation_variables, _exact, _le,
-                        _neg_q, _quarter_columns, _reduced, _solution_mask, _TNORMS_Q,
-                        build_equations, enumerate_ternary_solutions, solve_fixed_point)
+from .equations import (EquationSystem, _exact, _le, _neg_q, _quarter_columns, _reduced,
+                        _solution_mask, _TNORMS_Q, build_equations,
+                        enumerate_ternary_solutions, solve_fixed_point)
 from .errors import PreconditionError, ValidationError
 from .extensions import enumerate_extensions, extension_derived_labelling
-from .framework import HAFS, is_support_acyclic, serialize
+from .framework import HAFS, Incidence, is_support_acyclic, serialize
 from .labellings import HALF, ONE, THREE_VALUES, ZERO, Labelling3, _by_level, _frontier, \
     _survivors, _three_valued, enumerate_adjacent_complete, is_adjacent_complete
 from .limits import DEFAULT_LABELLING_BOUND, check_universe
@@ -228,6 +228,15 @@ class _Inputs:
 # -- individual checkers -------------------------------------------------------
 
 
+def _one_side_only(family, other):
+    """(x, True) for the first x of ``family`` that ``other`` lacks, else
+    (x, False) for the first x of ``other`` that ``family`` lacks, else
+    (None, False): the sides' own orders choose, never a set's hash order."""
+    in_family, in_other = set(family), set(other)
+    return next(((x, True) for x in family if x not in in_other),
+                next(((x, False) for x in other if x not in in_family), (None, False)))
+
+
 def _check_derived_is_adjacent(inputs: _Inputs, bound: int) -> VerificationReport:
     h = inputs.h
     for extension in inputs.extensions(bound):
@@ -247,11 +256,11 @@ def _check_families_coincide(inputs: _Inputs, bound: int) -> VerificationReport:
     if not is_support_acyclic(h):
         raise PreconditionError("the support graph has a cycle; this check "
                                 "applies to support-acyclic frameworks only")
-    derived = {extension_derived_labelling(h, E) for E in inputs.extensions(bound)}
-    adjacent = set(inputs.labellings(bound))
-    if derived != adjacent:
-        sample = next(iter(derived.symmetric_difference(adjacent)))
-        side = "extension-derived only" if sample in derived else "adjacent only"
+    adjacent = inputs.labellings(bound)
+    derived = [extension_derived_labelling(h, E) for E in inputs.extensions(bound)]
+    sample, in_adjacent = _one_side_only(adjacent, derived)
+    if sample is not None:
+        side = "adjacent only" if in_adjacent else "extension-derived only"
         return VerificationReport("T2", inputs.digest(), False, _counterexample(
             h, f"labelling found on one side only ({side})",
             labelling=sample.to_json_obj(),
@@ -261,11 +270,11 @@ def _check_families_coincide(inputs: _Inputs, bound: int) -> VerificationReport:
 
 
 def _check_pl3_models(inputs: _Inputs, bound: int) -> VerificationReport:
-    adjacent = set(inputs.labellings(bound))
-    models = set(enumerate_pl3_models(inputs.h, bound=bound, formula=inputs.formula()))
-    if adjacent != models:
-        sample = next(iter(adjacent.symmetric_difference(models)))
-        side = "labelling only" if sample in adjacent else "model only"
+    adjacent = inputs.labellings(bound)
+    models = enumerate_pl3_models(inputs.h, bound=bound, formula=inputs.formula())
+    sample, in_adjacent = _one_side_only(adjacent, models)
+    if sample is not None:
+        side = "labelling only" if in_adjacent else "model only"
         return VerificationReport("T_PL3", inputs.digest(), False, _counterexample(
             inputs.h, f"three-valued assignment found on one side only ({side})",
             assignment=sample.to_json_obj(),
@@ -308,42 +317,41 @@ def _exact_ops(logic: LogicSystem, one: np.ndarray) -> _Ops:
                 _TNORMS_Q[logic.tnorm], None, _IMPLICATIONS_Q[logic.implication])
 
 
-def _grid_verdicts(formulas, equations, logic: LogicSystem, positions,
+def _grid_verdicts(formulas, elements, logic: LogicSystem, view: Incidence, positions,
                    codes: np.ndarray, dtype):
     """Model and solution masks of a chunk of quarter-grid rows: whether
-    every formula is 1, and whether every equation holds."""
+    every formula is 1, and whether the equation of each element at ``elements`` holds."""
     columns = _quarter_columns(positions, codes, dtype)
     one = np.ones(len(codes), dtype=dtype)
     ops = _exact_ops(logic, one)
     model = np.ones(len(codes), dtype=bool)
     for f in formulas:
-        num, den = _fold(f, columns.__getitem__, ops)
+        num, den = _fold(f, lambda e: columns[view.position[e]], ops)
         model &= num == den
-    return model, _solution_mask(equations, logic, columns, one)
+    return model, _solution_mask(view, elements, logic, columns, one)
 
 
 def _level_check(formula: Formula, system: EquationSystem):
-    """(levels, check) for :func:`_frontier`: the conjuncts and the
-    equations by level, each grouped by its own variables and paired with
-    their columns, and their (rows, 2) model and solution verdicts.
+    """(levels, check) for :func:`_frontier`: the conjuncts and the element
+    positions by level, each with the positions it reads and its side (0 for
+    a conjunct, 1 for an equation), and their (rows, 2) model and solution verdicts.
 
     A check gathers only the columns that the items it tests read, so a
     sampled chunk, tested level by level, pays about one gather per
     element and two per relation, not one per column up to each level.
     """
-    order = system.universe
-    position = {e: j for j, e in enumerate(order)}
-    items = [(x, _equation_variables(x) if isinstance(x, Equation) else variables(x))
-             for x in _conjuncts(formula) + system.equations]
-    levels = [[({position[e] for e in xs}, x) for x, xs in level]
-              for level in _by_level(order, items, lambda item: item[1])]
+    view = system.framework.incidence
+    items = [({view.position[e] for e in variables(f)}, 0, f) for f in _conjuncts(formula)]
+    items += [({a}.union(*attacks, *supports), 1, a)
+              for a, (attacks, supports) in enumerate(view.incoming)]
+    levels = _by_level(range(len(view.incoming)), items, lambda item: item[0])
 
     def check(codes, items):
-        fs = [x for _, x in items if not isinstance(x, Equation)]
-        eqs = [x for _, x in items if isinstance(x, Equation)]
-        positions = [(j, order[j]) for j in sorted(set().union(*(cols for cols, _ in items)))]
-        return np.column_stack(_exact(_grid_verdicts, fs, eqs, system.logic, positions,
-                                      codes))
+        fs = [x for _, side, x in items if side == 0]
+        elements = [x for _, side, x in items if side == 1]
+        positions = sorted(set().union(*(cols for cols, _, _ in items)))
+        return np.column_stack(_exact(_grid_verdicts, fs, elements, system.logic, view,
+                                      positions, codes))
     return levels, check
 
 
@@ -536,19 +544,20 @@ def _check_labellings_solve(inputs: _Inputs, logic: LogicSystem,
 
 def _check_godel_correspondence(inputs: _Inputs, seed: int, bound: int) -> VerificationReport:
     h = inputs.h
-    adjacent = set(inputs.labellings(bound))
-    ternary = {ternarize(v) for v in inputs.ternary_solutions(GODEL, bound)}
+    labellings = inputs.labellings(bound)
+    ternary = [ternarize(v) for v in inputs.ternary_solutions(GODEL, bound)]
     notes = {
         "backward": "exhaustive over the {0,1/2,1} grid",
         "forward": "sampled from fixed-point runs",
     }
-    if adjacent != ternary:
-        sample = next(iter(adjacent.symmetric_difference(ternary)))
-        side = "labelling only" if sample in adjacent else "ternary solution only"
+    sample, in_labellings = _one_side_only(labellings, ternary)
+    if sample is not None:
+        side = "labelling only" if in_labellings else "ternary solution only"
         return VerificationReport("CORR_G", inputs.digest(), False, _counterexample(
             h, f"three-valued map found on one side only ({side})",
             labelling=sample.to_json_obj(),
         ), notes=notes)
+    adjacent = set(labellings)
     for report in inputs.fixed_points(GODEL, seed):
         if not report.converged:
             continue

@@ -47,47 +47,25 @@ def h_function(logic: LogicSystem,
     return acc
 
 
-@dataclass(frozen=True)
-class Equation:
-    """One element's equation: value = fold of its incoming pairs."""
-
-    element: ElementId
-    attacker_pairs: tuple[tuple[ElementId, ElementId], ...]
-    supporter_pairs: tuple[tuple[ElementId, ElementId], ...]
-
-
 class EquationSystem:
     """One equation per universe element, under a fixed logic."""
 
-    __slots__ = ("framework", "logic", "_equations")
+    __slots__ = ("framework", "logic")
 
     def __init__(self, framework: HAFS, logic: LogicSystem):
         self.framework = framework
         self.logic = logic
-        self._equations = None
-
-    @property
-    def equations(self) -> tuple[Equation, ...]:
-        """The equations in universe order, built on first read: the
-        fixed-point search reads the framework's incidence instead."""
-        if self._equations is None:
-            u = self.framework.universe
-            self._equations = tuple(
-                Equation(a, tuple((u[b], u[r]) for b, r in attacks),
-                         tuple((u[c], u[t]) for c, t in supports))
-                for a, (attacks, supports) in zip(u, self.framework.incidence.incoming)
-            )
-        return self._equations
 
     @property
     def universe(self) -> tuple[ElementId, ...]:
         return self.framework.universe
 
-    def rhs(self, equation: Equation, values: Mapping) -> object:
+    def rhs(self, element: ElementId, values: Mapping) -> object:
+        """:func:`h_function` of ``element``'s incoming pairs under ``values``."""
         return h_function(
             self.logic,
-            [(values[b], values[r]) for b, r in equation.attacker_pairs],
-            [(values[c], values[t]) for c, t in equation.supporter_pairs],
+            [(values[b], values[r]) for b, r in self.framework.attackers_of(element)],
+            [(values[c], values[t]) for c, t in self.framework.supporters_of(element)],
         )
 
     def residual(self, values: Mapping) -> object:
@@ -96,8 +74,8 @@ class EquationSystem:
         if missing:
             raise ValidationError(f"assignment is not total: missing {missing[0].qualified}")
         worst = 0
-        for eq in self.equations:
-            gap = abs(values[eq.element] - self.rhs(eq, values))
+        for x in self.universe:
+            gap = abs(values[x] - self.rhs(x, values))
             if gap > worst:
                 worst = gap
         return worst
@@ -117,7 +95,7 @@ class EquationSystem:
 
     def is_exact_solution(self, values: Mapping) -> bool:
         """Equivalent to ``residual(values) == 0`` with early exit."""
-        return all(values[eq.element] == self.rhs(eq, values) for eq in self.equations)
+        return all(values[x] == self.rhs(x, values) for x in self.universe)
 
 
 def build_equations(h: HAFS, logic: LogicSystem) -> EquationSystem:
@@ -324,6 +302,8 @@ def solve_fixed_point(system: EquationSystem, damping: float = 0.5,
         raise PreconditionError("tolerance must be a number >= 0")
     if max_iter < 0:
         raise PreconditionError("max_iter must be >= 0")
+    if restarts < 0:
+        raise PreconditionError("restarts must be >= 0")
     order = system.universe
     n = len(order)
     rng = random.Random(seed)
@@ -597,29 +577,25 @@ def _fold_q(tnorm, terms, one):
 
 
 def _quarter_columns(positions, codes: np.ndarray, dtype) -> dict:
-    """Exact values of the elements at (column, element) ``positions``."""
+    """Exact values of the columns ``positions`` of ``codes``, by position."""
     num, den = _QUARTER_NUM.astype(dtype), _QUARTER_DEN.astype(dtype)
-    return {e: (num.take(codes[:, j]), den.take(codes[:, j])) for j, e in positions}
+    return {j: (num.take(codes[:, j]), den.take(codes[:, j])) for j in positions}
 
 
-def _solution_mask(equations, logic: LogicSystem, columns: dict,
+def _solution_mask(view: Incidence, elements, logic: LogicSystem, columns: dict,
                    one: np.ndarray) -> np.ndarray:
-    """Rows of a chunk on which each of ``equations`` holds: its element
-    equals the fold of its incoming pairs."""
+    """Rows of a chunk on which the equation of each element at
+    ``elements`` holds: its value equals the fold of its incoming pairs."""
     tnorm = _TNORMS_Q[logic.tnorm]
     mask = np.ones(len(one), dtype=bool)
-    for eq in equations:
-        terms = [_neg_q(tnorm(columns[b], columns[r])) for b, r in eq.attacker_pairs]
-        terms += [_neg_q(tnorm(_neg_q(columns[c]), columns[t]))
-                  for c, t in eq.supporter_pairs]
+    for a in elements:
+        attacks, supports = view.incoming[a]
+        terms = [_neg_q(tnorm(columns[b], columns[r])) for b, r in attacks]
+        terms += [_neg_q(tnorm(_neg_q(columns[c]), columns[t])) for c, t in supports]
         num, den = _fold_q(tnorm, terms, one)
-        value = columns[eq.element]
+        value = columns[a]
         mask &= value[0] * den == num * value[1]
     return mask
-
-
-def _equation_variables(eq) -> set:
-    return {eq.element}.union(*eq.attacker_pairs, *eq.supporter_pairs)
 
 
 def enumerate_ternary_solutions(system: EquationSystem,
@@ -636,11 +612,14 @@ def enumerate_ternary_solutions(system: EquationSystem,
     check_universe(len(order), bound, DEFAULT_TERNARY_BOUND)
     if logic.tnorm not in _TNORMS_Q or logic.negation is not _standard_negation:
         raise PreconditionError(f"logic {logic.name} has no exact kernel")
+    view = system.framework.incidence
+    levels = _by_level(range(len(order)), range(len(order)),
+                       lambda a: {a}.union(*view.incoming[a][0], *view.incoming[a][1]))
 
-    def check(codes, equations):
+    def check(codes, elements):
         def mask(dtype):
-            columns = _quarter_columns(enumerate(order[:codes.shape[1]]), 2 * codes, dtype)
-            return _solution_mask(equations, logic, columns, np.ones(len(codes), dtype=dtype))
+            columns = _quarter_columns(range(codes.shape[1]), 2 * codes, dtype)
+            return _solution_mask(view, elements, logic, columns,
+                                  np.ones(len(codes), dtype=dtype))
         return _exact(mask)[:, None]
-    return _three_valued(Assignment, order,
-                         _by_level(order, system.equations, _equation_variables), check)
+    return _three_valued(Assignment, order, levels, check)

@@ -190,7 +190,7 @@ class HAFS:
     reproducible.
     """
 
-    __slots__ = ("arguments", "attacks", "supports", "universe", "_by_id", "incidence")
+    __slots__ = ("arguments", "attacks", "supports", "universe", "incidence")
 
     def __init__(self, arguments: Iterable[ElementId],
                  attacks: Iterable[Relation],
@@ -221,7 +221,6 @@ class HAFS:
         self.attacks = atts
         self.supports = supps
         self.universe = universe
-        self._by_id = {r.id: r for r in atts + supps}
 
         # one walk over the id-sorted relations: the universe lists each
         # kind's relations in that order, so a relation's position is its
@@ -259,9 +258,6 @@ class HAFS:
             tuple(map(tuple, outgoing)))
 
     # -- lookups ---------------------------------------------------------
-
-    def relation(self, rid: ElementId) -> Relation:
-        return self._by_id[rid]
 
     def attackers_of(self, x: ElementId) -> tuple[tuple[ElementId, ElementId], ...]:
         """Incoming attacks on ``x`` as (attacker, attack-id) pairs."""

@@ -1,6 +1,9 @@
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -198,10 +201,12 @@ class TestExactGrid:
             formula = encode_normal(h)
             system = build_equations(h, logic)
             codes = grid_codes(len(h), 5)
-            columns = _quarter_columns(enumerate(h.universe), codes, dtype)
+            view = h.incidence
+            columns = _quarter_columns(range(len(h)), codes, dtype)
             one = np.ones(len(codes), dtype=dtype)
-            num, den = _fold(formula, columns.__getitem__, bridge._exact_ops(logic, one))
-            mask = _solution_mask(system.equations, logic, columns, one)
+            num, den = _fold(formula, lambda e: columns[view.position[e]],
+                             bridge._exact_ops(logic, one))
+            mask = _solution_mask(view, range(len(h)), logic, columns, one)
             for row, ks in enumerate(codes):
                 point = {e: Fraction(int(k), 4) for e, k in zip(h.universe, ks)}
                 value = Fraction(int(num[row]), int(den[row]))
@@ -258,8 +263,9 @@ class TestExactGrid:
             {e: Fraction(k, 4) for e, k in zip(h.universe, point)}) for point in points])
         verdicts = bridge._grid_verdicts
 
-        def flipped(formulas, equations, logic, positions, codes, dtype):
-            model, solution = verdicts(formulas, equations, logic, positions, codes, dtype)
+        def flipped(formulas, elements, logic, view, positions, codes, dtype):
+            model, solution = verdicts(formulas, elements, logic, view, positions, codes,
+                                       dtype)
             if codes.shape[1] == len(h):
                 hits = (codes[:, None, :] == targets).all(axis=2)
                 solution = np.where(hits.any(axis=1), (hits & inverted).any(axis=1), solution)
@@ -535,8 +541,9 @@ class TestSharedInputs:
         verdict of the float sample numbered in ``sample_by_logic``."""
         verdicts, residuals = bridge._grid_verdicts, EquationSystem.residuals
 
-        def flipped(formulas, equations, logic, positions, codes, dtype):
-            model, solution = verdicts(formulas, equations, logic, positions, codes, dtype)
+        def flipped(formulas, elements, logic, view, positions, codes, dtype):
+            model, solution = verdicts(formulas, elements, logic, view, positions, codes,
+                                       dtype)
             for target, truth in rows_by_logic.get(logic, ()):
                 if codes.shape[1] == len(target):
                     solution = np.where((codes == target).all(axis=1), not truth, solution)
@@ -678,3 +685,35 @@ class TestReports:
         obj = verify(example3, "T1").to_json_obj()
         assert set(obj) == {"theorem", "framework_digest", "passed",
                             "counterexample", "notes"}
+
+    # a failed T2, T_PL3 or CORR_G names the first labelling of the labelling
+    # family that the other side lacks, in grid order, else the first item of
+    # the other side that the family lacks, in that side's order; the other
+    # side (or the family) is forced empty
+    MUTUAL = "arg(a0). arg(b0). att(r0,a0,b0). att(s0,b0,a0). " \
+             "arg(a1). arg(b1). att(r1,a1,b1). att(s1,b1,a1)."
+
+    @pytest.mark.parametrize("theorem_id, emptied, key, side", [
+        ("T2", "enumerate_extensions", "labelling", "adjacent only"),
+        ("T_PL3", "enumerate_pl3_models", "assignment", "labelling only"),
+        ("T_PL3", "enumerate_adjacent_complete", "assignment", "model only"),
+        ("CORR_G", "enumerate_ternary_solutions", "labelling", "labelling only"),
+    ])
+    def test_failure_report_is_independent_of_hash_seed(self, theorem_id, emptied, key,
+                                                        side):
+        script = (f"import sys; from hafs import bridge, cli; "
+                  f"bridge.{emptied} = lambda *args, **kwargs: (); "
+                  f"sys.exit(cli.run(['verify', '-', '--theorem', '{theorem_id}']))")
+        src = os.path.dirname(os.path.dirname(hafs.__file__))
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            done = subprocess.run([sys.executable, "-c", script], input=self.MUTUAL.encode(),
+                                  capture_output=True, env=env, timeout=120)
+            assert done.returncode == 1, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        (report,) = json.loads(outputs[0])["reports"]
+        first = hafs.enumerate_adjacent_complete(hafs.parse(self.MUTUAL))[0]
+        assert side in report["counterexample"]["explanation"]
+        assert report["counterexample"][key] == first.to_json_obj()

@@ -177,7 +177,8 @@ class TestSolve:
                                                "residual": 0.0, "restart_index": 0,
                                                "solution": {}}]
 
-    @pytest.mark.parametrize("option", [["--max-iter", "-3"], ["--tol", "nan"]])
+    @pytest.mark.parametrize("option", [["--max-iter", "-3"], ["--tol", "nan"],
+                                        ["--restarts", "-1"]])
     def test_unusable_budget_or_tolerance_exits_1(self, self_attack_file, option):
         code, out, err = invoke(["solve", self_attack_file] + option)
         assert code == 1 and out == ""

@@ -48,9 +48,9 @@ def grid_points(h, rng, count):
 class TestBuild:
     def test_isolated_argument_equation_is_one(self, single_arg):
         system = build_equations(single_arg, GODEL)
-        (eq,) = system.equations
-        assert not eq.attacker_pairs and not eq.supporter_pairs
-        assert system.rhs(eq, {A: V0}) == 1
+        assert system.universe == (A,)
+        assert not single_arg.attackers_of(A) and not single_arg.supporters_of(A)
+        assert system.rhs(A, {A: V0}) == 1
 
     def test_self_attack_godel_instances(self, self_attack):
         system = build_equations(self_attack, GODEL)
@@ -66,7 +66,11 @@ class TestBuild:
     def test_one_equation_per_element(self):
         for h, _ in corpus(20, seed_base=8200):
             system = build_equations(h, PRODUCT)
-            assert [eq.element for eq in system.equations] == list(h.universe)
+            assert system.universe == h.universe
+            # at all-1 an attack pair gives 0 and a support pair 1
+            ones = dict.fromkeys(h.universe, V1)
+            assert [system.rhs(x, ones) for x in system.universe] == \
+                [0 if h.attackers_of(x) else 1 for x in h.universe]
 
 
 class TestClosedForms:
@@ -75,16 +79,16 @@ class TestClosedForms:
         for h, _ in corpus(25, max_u=6, seed_base=8600):
             system = build_equations(h, GODEL)
             for values in grid_points(h, rng, 8):
-                for eq in system.equations:
-                    assert system.rhs(eq, values) == godel_rhs(h, eq.element, values)
+                for x in system.universe:
+                    assert system.rhs(x, values) == godel_rhs(h, x, values)
 
     def test_product_rhs_matches_closed_form(self):
         rng = random.Random(2)
         for h, _ in corpus(25, max_u=6, seed_base=9000):
             system = build_equations(h, PRODUCT)
             for values in grid_points(h, rng, 8):
-                for eq in system.equations:
-                    assert system.rhs(eq, values) == product_rhs(h, eq.element, values)
+                for x in system.universe:
+                    assert system.rhs(x, values) == product_rhs(h, x, values)
 
     def test_compiled_apply_matches_generic_h(self):
         rng = random.Random(3)
@@ -96,7 +100,7 @@ class TestClosedForms:
                 for _ in range(5):
                     x = [rng.random() for _ in order]
                     values = dict(zip(order, x))
-                    expected = [system.rhs(eq, values) for eq in system.equations]
+                    expected = [system.rhs(e, values) for e in order]
                     assert fast(x) == expected
 
     def test_layered_apply_matches_generic_h(self):
@@ -115,7 +119,7 @@ class TestClosedForms:
                 x = np.array([[rng.choice((0.0, 0.5, 1.0, rng.random())) for _ in order]
                               for _ in range(5)])
                 rows = x.tolist()
-                expected = [[system.rhs(eq, dict(zip(order, row))) for eq in system.equations]
+                expected = [[system.rhs(e, dict(zip(order, row))) for e in order]
                             for row in rows]
                 assert layered(x).tolist() == expected
                 # same floats, signed zeros included
@@ -140,8 +144,7 @@ class TestResidual:
         system = build_equations(f3, GODEL)
         values = {argument("a"): V0, argument("b"): V0, attack_id("r1"): V1}
         # a off by 1, b solves (b = max(1-0,1-1)... = 1) -> off by 1, r1 off by 0
-        gaps = [abs(values[eq.element] - system.rhs(eq, values))
-                for eq in system.equations]
+        gaps = [abs(values[x] - system.rhs(x, values)) for x in system.universe]
         assert system.residual(values) == max(gaps)
 
     def test_exact_solution_shortcut_agrees(self):
@@ -346,7 +349,7 @@ class TestSolve:
         assert reports[0].solution.to_json_obj() == {}
 
     @pytest.mark.parametrize("kwargs", [{"max_iter": -3}, {"tolerance": float("nan")},
-                                        {"tolerance": -1e-9}])
+                                        {"tolerance": -1e-9}, {"restarts": -1}])
     def test_unusable_budget_or_tolerance_rejected(self, self_attack, kwargs):
         system = build_equations(self_attack, GODEL)
         with pytest.raises(PreconditionError):
@@ -498,5 +501,5 @@ class TestContinuity:
                 for _ in range(5):
                     x = {e: rng.random() for e in h.universe}
                     y = {e: min(1.0, v + 1e-9) for e, v in x.items()}
-                    for eq in system.equations:
-                        assert abs(system.rhs(eq, x) - system.rhs(eq, y)) < 1e-6
+                    for e in system.universe:
+                        assert abs(system.rhs(e, x) - system.rhs(e, y)) < 1e-6
