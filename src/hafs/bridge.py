@@ -16,9 +16,8 @@ from collections.abc import Mapping
 from fractions import Fraction
 import numpy as np
 
-from .equations import (EquationSystem, _exact, _le, _neg_q, _quarter_columns, _reduced,
-                        _solution_mask, _TNORMS_Q, build_equations,
-                        enumerate_ternary_solutions, solve_fixed_point)
+from .equations import (EquationSystem, _exact, _exact_ops, _quarter_columns, _solution_mask,
+                        build_equations, enumerate_ternary_solutions, solve_fixed_point)
 from .errors import PreconditionError, ValidationError
 from .extensions import enumerate_extensions, extension_derived_labelling
 from .framework import HAFS, Incidence, is_support_acyclic, serialize
@@ -26,8 +25,7 @@ from .labellings import HALF, ONE, THREE_VALUES, ZERO, Labelling3, _by_level, _f
     _survivors, _three_valued, enumerate_adjacent_complete, is_adjacent_complete
 from .limits import DEFAULT_LABELLING_BOUND, check_universe
 from .logic import And, Assignment, Formula, GODEL, L3, LogicSystem, LUKASIEWICZ, PRODUCT, \
-    _Ops, _fold, _impl_godel, _impl_lukasiewicz, _impl_product, compile_evaluator, \
-    encode_normal, get_logic, variables
+    _fold, compile_evaluator, encode_normal, get_logic, variables
 
 FLOAT_TERNARIZE_TOL = 1e-6
 FLOAT_RESIDUAL_TOL = 1e-12
@@ -285,36 +283,6 @@ def _check_pl3_models(inputs: _Inputs, bound: int) -> VerificationReport:
 # -- exact quarter-grid sweep ---------------------------------------------------
 
 _EQ_CHUNK_ROWS = 2 ** 14
-
-
-def _impl_godel_q(m, n):
-    le = _le(m, n)
-    return np.where(le, 1, n[0]), np.where(le, 1, n[1])
-
-
-def _impl_product_q(m, n):
-    le = _le(m, n)  # where it fails, m > n >= 0, so m's numerator is positive
-    return _reduced(np.where(le, 1, n[0] * m[1]), np.where(le, 1, n[1] * m[0]))
-
-
-def _impl_lukasiewicz_q(m, n):
-    # 1 - m + n capped at 1; the uncapped numerator is at most 2 * den < 2^63
-    num = (m[1] - m[0]) * n[1] + n[0] * m[1]
-    den = m[1] * n[1]
-    cap = num >= den
-    return _reduced(np.where(cap, 1, num), np.where(cap, 1, den))
-
-
-# keyed by the built-in implications
-_IMPLICATIONS_Q = {_impl_godel: _impl_godel_q, _impl_product: _impl_product_q,
-                   _impl_lukasiewicz: _impl_lukasiewicz_q}
-
-
-def _exact_ops(logic: LogicSystem, one: np.ndarray) -> _Ops:
-    """The exact (numerator, denominator) connectives of a fuzzy ``logic``
-    on chunks of ``len(one)`` rows; disjunction is not interpreted."""
-    return _Ops(logic.name, (one, one), (np.zeros_like(one), one), _neg_q,
-                _TNORMS_Q[logic.tnorm], None, _IMPLICATIONS_Q[logic.implication])
 
 
 def _grid_verdicts(formulas, elements, logic: LogicSystem, view: Incidence, positions,

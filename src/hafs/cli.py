@@ -174,7 +174,6 @@ def _cmd_extensions(opts, stdin, stdout) -> int:
 
 def _cmd_encode(opts, stdin, stdout) -> int:
     h = _read_framework(opts.input, stdin)
-    logic.get_logic(opts.logic)  # validate the selector
     formula = logic.encode_normal(h)
     if opts.format == "text":
         stdout.write(logic.formula_to_text(formula) + "\n")

@@ -22,8 +22,9 @@ from .errors import PreconditionError, ValidationError
 from .framework import HAFS, ElementId, Incidence
 from .labellings import _by_level, _three_valued
 from .limits import DEFAULT_TERNARY_BOUND, check_universe
-from .logic import (_TNORMS_F, Assignment, LogicSystem, _standard_negation,
-                    _tnorm_lukasiewicz, _tnorm_min, _tnorm_product)
+from .logic import (_TNORMS_F, Assignment, LogicSystem, _connectives, _impl_godel,
+                    _impl_lukasiewicz, _impl_product, _standard_negation, _tnorm_lukasiewicz,
+                    _tnorm_min, _tnorm_product)
 
 
 def h_function(logic: LogicSystem,
@@ -511,7 +512,8 @@ def _snap(apply, x: list[float], gap: float, tolerance: float) -> tuple[list[flo
 # Values lie in [0, 1], so while every denominator stays below 2^31 the
 # product of any two numerators or denominators fits in int64.  A chunk that
 # leaves that range is recomputed on Python ints (dtype=object) through the
-# same kernels.
+# same kernels.  The equations (_solution_mask) and the encoded formula
+# (_exact_ops) read values in this format through these kernels only.
 
 _INT64_SAFE = 2 ** 31
 _QUARTER_NUM = np.array([0, 1, 1, 3, 1], dtype=np.int64)
@@ -566,6 +568,36 @@ def _tnorm_lukasiewicz_q(x, y):
 # keyed by the built-in t-norms; every built-in negation is 1 - x
 _TNORMS_Q = {_tnorm_min: _tnorm_min_q, _tnorm_product: _tnorm_product_q,
              _tnorm_lukasiewicz: _tnorm_lukasiewicz_q}
+
+
+def _impl_godel_q(m, n):
+    le = _le(m, n)
+    return np.where(le, 1, n[0]), np.where(le, 1, n[1])
+
+
+def _impl_product_q(m, n):
+    le = _le(m, n)  # where it fails, m > n >= 0, so m's numerator is positive
+    return _reduced(np.where(le, 1, n[0] * m[1]), np.where(le, 1, n[1] * m[0]))
+
+
+def _impl_lukasiewicz_q(m, n):
+    # 1 - m + n capped at 1; the uncapped numerator is at most 2 * den < 2^63
+    num = (m[1] - m[0]) * n[1] + n[0] * m[1]
+    den = m[1] * n[1]
+    cap = num >= den
+    return _reduced(np.where(cap, 1, num), np.where(cap, 1, den))
+
+
+# keyed by the built-in implications
+_IMPLICATIONS_Q = {_impl_godel: _impl_godel_q, _impl_product: _impl_product_q,
+                   _impl_lukasiewicz: _impl_lukasiewicz_q}
+
+
+def _exact_ops(logic: LogicSystem, one: np.ndarray) -> dict:
+    """The exact (numerator, denominator) connectives of a fuzzy ``logic``
+    on chunks of ``len(one)`` rows; disjunction is not interpreted."""
+    return _connectives(logic.name, (one, one), (np.zeros_like(one), one), _neg_q,
+                        _TNORMS_Q[logic.tnorm], None, _IMPLICATIONS_Q[logic.implication])
 
 
 def _fold_q(tnorm, terms, one):

@@ -14,7 +14,9 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple
+from functools import reduce
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -86,19 +88,32 @@ def conjunction(children: Iterable[Formula]) -> Formula:
     return And(items)
 
 
+# each node class with the function that lists a node's children, in order
+_CHILDREN = {Var: lambda f: (), Top: lambda f: (), Bottom: lambda f: (),
+             Not: lambda f: (f.child,), And: attrgetter("children"), Or: attrgetter("children"),
+             Implies: attrgetter("lhs", "rhs"), Iff: attrgetter("lhs", "rhs")}
+
+
+def _kind(f) -> type | None:
+    """The node class that ``f`` is, or extends; None for no formula node."""
+    return next((c for c in type(f).__mro__ if c in _CHILDREN), None)
+
+
+def _unknown_node(node, error=ValueError) -> Exception:
+    return error(f"unknown formula node {type(node).__name__}")
+
+
 def variables(f: Formula) -> frozenset[ElementId]:
-    if isinstance(f, Var):
-        return frozenset((f.element,))
-    if isinstance(f, (Top, Bottom)):
-        return frozenset()
-    if isinstance(f, Not):
-        return variables(f.child)
-    if isinstance(f, (And, Or)):
-        out: frozenset[ElementId] = frozenset()
-        for c in f.children:
-            out |= variables(c)
-        return out
-    return variables(f.lhs) | variables(f.rhs)
+    out, todo = set(), [f]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Var):
+            out.add(node.element)
+        elif (kind := _kind(node)) is None:
+            raise _unknown_node(node)
+        else:
+            todo.extend(_CHILDREN[kind](node))
+    return frozenset(out)
 
 
 # -- logic systems ----------------------------------------------------------
@@ -250,10 +265,12 @@ class Assignment(Mapping):
 
 # -- evaluation --------------------------------------------------------------
 #
-# Every reading of a formula is one fold over its AST with the connectives of
-# a value domain: scalars with checked leaves (evaluate), float64 arrays
-# (compile_evaluator) and, in the bridge, exact (numerator, denominator)
-# integer arrays.
+# Every reading of a formula goes through the one walker, :func:`_fold`, with
+# a table from node class to the function that combines the values of a
+# node's children: its value with checked scalar leaves (evaluate), on
+# float64 arrays (compile_evaluator) and, for the exact grid, on
+# (numerator, denominator) integer arrays (equations._exact_ops); and its
+# text and JSON renderings.
 
 THREE_VALUES = (Fraction(0), Fraction(1, 2), Fraction(1))
 
@@ -273,52 +290,57 @@ def _lookup(assignment: Mapping, element: ElementId, logic: LogicSystem):
     return value
 
 
-class _Ops(NamedTuple):
-    """The connectives of one value domain, for :func:`_fold`."""
+def _fold(f: Formula, leaf: Callable, table: dict):
+    """Value of ``f`` with ``leaf(element)`` at each variable and
+    ``table[kind](*values)`` at every other node, where ``kind`` is its node
+    class and ``values`` are the values of its children.
 
-    logic: str  # named when a disjunction is not interpreted
-    one: object
-    zero: object
-    neg: Callable
-    tnorm: Callable
-    join: Callable | None  # None outside the three-valued logic
-    impl: Callable
-
-
-def _fold(f: Formula, leaf: Callable, ops: _Ops):
-    """Value of ``f`` with ``leaf(element)`` at each variable and ``ops`` at
-    the connectives.
-
-    Conjunction folds the t-norm from ``one`` over every child, with no
-    short-circuit, and disjunction the join from ``zero``; the
-    biconditional is the t-norm of the two implications.
+    The walk keeps its own stack, so depth is not limited.  Children are
+    folded left to right, all of them (no short-circuit), and a node is
+    looked up when the walk reaches it: one without an entry raises
+    ``table[Formula](node)`` before any leaf below it is read.
     """
-    if isinstance(f, Var):
-        return leaf(f.element)
-    if isinstance(f, Not):
-        return ops.neg(_fold(f.child, leaf, ops))
-    if isinstance(f, And):
-        acc = ops.one
-        for child in f.children:
-            acc = ops.tnorm(acc, _fold(child, leaf, ops))
-        return acc
-    if isinstance(f, Iff):
-        m, n = _fold(f.lhs, leaf, ops), _fold(f.rhs, leaf, ops)
-        return ops.tnorm(ops.impl(m, n), ops.impl(n, m))
-    if isinstance(f, Implies):
-        return ops.impl(_fold(f.lhs, leaf, ops), _fold(f.rhs, leaf, ops))
-    if isinstance(f, Top):
-        return ops.one
-    if isinstance(f, Bottom):
-        return ops.zero
-    if isinstance(f, Or):
-        if ops.join is None:
-            raise EvaluationError(f"disjunction is not interpreted in the {ops.logic} logic")
-        acc = ops.zero
-        for child in f.children:
-            acc = ops.join(acc, _fold(child, leaf, ops))
-        return acc
-    raise EvaluationError(f"unknown formula node {type(f).__name__}")
+    values: list = []
+    # the current node's combine, an iterator over its children and the index
+    # of its first child value, and the same for each open node above it; the
+    # root is the one child of a frame without a combine
+    combine, children, start = None, iter((f,)), 0
+    stack: list = []
+    while True:
+        for node in children:
+            if isinstance(node, Var):
+                values.append(leaf(node.element))
+                continue
+            kind = node.__class__ if node.__class__ in _CHILDREN else _kind(node)
+            entry = table.get(kind)
+            if entry is None:
+                raise table[Formula](node)
+            stack.append((combine, children, start))
+            combine, children, start = entry, iter(_CHILDREN[kind](node)), len(values)
+            break
+        else:
+            if not stack:
+                return values[0]
+            values[start:] = [combine(*values[start:])]
+            combine, children, start = stack.pop()
+
+
+def _connectives(logic: str, one, zero, neg: Callable, tnorm: Callable,
+                 join: Callable | None, impl: Callable) -> dict:
+    """The :func:`_fold` table of one value domain: conjunction folds ``tnorm``
+    from ``one`` and disjunction ``join`` from ``zero``, which is not interpreted
+    in ``logic`` when None; the biconditional is the t-norm of both implications."""
+    def uninterpreted(node):
+        if isinstance(node, Or):
+            return EvaluationError(f"disjunction is not interpreted in the {logic} logic")
+        return _unknown_node(node, EvaluationError)
+
+    table = {Top: lambda: one, Bottom: lambda: zero, Not: neg, Implies: impl,
+             And: lambda *values: reduce(tnorm, values, one),
+             Iff: lambda m, n: tnorm(impl(m, n), impl(n, m)), Formula: uninterpreted}
+    if join is not None:
+        table[Or] = lambda *values: reduce(join, values, zero)
+    return table
 
 
 def evaluate(f: Formula, assignment: Mapping, logic: LogicSystem):
@@ -332,8 +354,8 @@ def evaluate(f: Formula, assignment: Mapping, logic: LogicSystem):
     logic's domain raises :class:`EvaluationError` wherever it occurs.
     """
     join = max if logic.value_domain == "three_valued" else None
-    ops = _Ops(logic.name, 1, 0, logic.negation, logic.tnorm, join, logic.implication)
-    return _fold(f, lambda element: _lookup(assignment, element, logic), ops)
+    table = _connectives(logic.name, 1, 0, logic.negation, logic.tnorm, join, logic.implication)
+    return _fold(f, lambda element: _lookup(assignment, element, logic), table)
 
 
 def _tnorm_lukasiewicz_f(x, y):
@@ -373,9 +395,10 @@ def compile_evaluator(f: Formula, logic: LogicSystem) -> Callable[[Mapping], obj
     built-ins are applied as they are.
     """
     join = np.maximum if logic.value_domain == "three_valued" else None
-    ops = _Ops(logic.name, 1.0, 0.0, logic.negation, _TNORMS_F.get(logic.tnorm, logic.tnorm),
-               join, _IMPLICATIONS_F.get(logic.implication, logic.implication))
-    return lambda columns: _fold(f, columns.__getitem__, ops)
+    table = _connectives(logic.name, 1.0, 0.0, logic.negation,
+                         _TNORMS_F.get(logic.tnorm, logic.tnorm), join,
+                         _IMPLICATIONS_F.get(logic.implication, logic.implication))
+    return lambda columns: _fold(f, columns.__getitem__, table)
 
 
 # -- encoding ----------------------------------------------------------------
@@ -410,49 +433,25 @@ def is_model(h: HAFS, assignment: Mapping, logic: LogicSystem) -> bool:
 # -- rendering ---------------------------------------------------------------
 
 
+# composite children parenthesise themselves
+_TEXT = {Top: lambda: "T", Bottom: lambda: "F", Not: lambda child: "~" + child,
+         And: lambda *children: "(" + " & ".join(children) + ")" if children else "T",
+         Or: lambda *children: "(" + " | ".join(children) + ")" if children else "F",
+         Implies: lambda lhs, rhs: f"({lhs} -> {rhs})",
+         Iff: lambda lhs, rhs: f"({lhs} <-> {rhs})", Formula: _unknown_node}
+
+_JSON = {Top: lambda: {"op": "top"}, Bottom: lambda: {"op": "bottom"},
+         Not: lambda child: {"op": "not", "child": child},
+         And: lambda *children: {"op": "and", "children": list(children)},
+         Or: lambda *children: {"op": "or", "children": list(children)},
+         Implies: lambda lhs, rhs: {"op": "implies", "lhs": lhs, "rhs": rhs},
+         Iff: lambda lhs, rhs: {"op": "iff", "lhs": lhs, "rhs": rhs}, Formula: _unknown_node}
+
+
 def formula_to_text(f: Formula) -> str:
     """Canonical fully parenthesised form; Top/Bottom print as T/F."""
-    if isinstance(f, Var):
-        return f.element.name
-    if isinstance(f, Top):
-        return "T"
-    if isinstance(f, Bottom):
-        return "F"
-    if isinstance(f, Not):
-        # composite children parenthesise themselves
-        return "~" + formula_to_text(f.child)
-    if isinstance(f, And):
-        if not f.children:
-            return "T"
-        return "(" + " & ".join(formula_to_text(c) for c in f.children) + ")"
-    if isinstance(f, Or):
-        if not f.children:
-            return "F"
-        return "(" + " | ".join(formula_to_text(c) for c in f.children) + ")"
-    if isinstance(f, Implies):
-        return f"({formula_to_text(f.lhs)} -> {formula_to_text(f.rhs)})"
-    if isinstance(f, Iff):
-        return f"({formula_to_text(f.lhs)} <-> {formula_to_text(f.rhs)})"
-    raise ValueError(f"unknown formula node {type(f).__name__}")
+    return _fold(f, attrgetter("name"), _TEXT)
 
 
 def formula_to_json_obj(f: Formula) -> dict:
-    if isinstance(f, Var):
-        return {"op": "var", "id": f.element.qualified}
-    if isinstance(f, Top):
-        return {"op": "top"}
-    if isinstance(f, Bottom):
-        return {"op": "bottom"}
-    if isinstance(f, Not):
-        return {"op": "not", "child": formula_to_json_obj(f.child)}
-    if isinstance(f, And):
-        return {"op": "and", "children": [formula_to_json_obj(c) for c in f.children]}
-    if isinstance(f, Or):
-        return {"op": "or", "children": [formula_to_json_obj(c) for c in f.children]}
-    if isinstance(f, Implies):
-        return {"op": "implies", "lhs": formula_to_json_obj(f.lhs),
-                "rhs": formula_to_json_obj(f.rhs)}
-    if isinstance(f, Iff):
-        return {"op": "iff", "lhs": formula_to_json_obj(f.lhs),
-                "rhs": formula_to_json_obj(f.rhs)}
-    raise ValueError(f"unknown formula node {type(f).__name__}")
+    return _fold(f, lambda element: {"op": "var", "id": element.qualified}, _JSON)

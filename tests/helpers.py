@@ -9,8 +9,9 @@ unpruned subset scan through ``classify_set``, defeat pairs by a
 least-fixpoint recursion, equation right-hand sides by the closed forms,
 support acyclicity by Kahn's algorithm, each element's incoming pairs and
 the relation checks by an id-keyed grouping and a recursive cycle search,
-and framework text by a character-by-character tokenizer and a token-stream
-parser.
+framework text by a character-by-character tokenizer and a token-stream
+parser, and formula values, variables and renderings by one recursive
+function per reading.
 """
 
 from __future__ import annotations
@@ -20,11 +21,13 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
-from hafs import (HAFS, L3, Assignment, ElementId, EquationSystem, InfeasibleParametersError,
-                  Kind, Labelling3, LogicSystem, ParseError, Relation, ValidationError,
-                  build_equations, classify_set, dft, encode_normal, evaluate,
-                  framework_digest, generate_random, is_adjacent_complete, serialize)
+from hafs import (HAFS, L3, And, Assignment, Bottom, ElementId, EquationSystem,
+                  EvaluationError, Formula, Iff, Implies, InfeasibleParametersError, Kind,
+                  Labelling3, LogicSystem, Not, Or, ParseError, Relation, Top,
+                  ValidationError, Var, build_equations, classify_set, dft, encode_normal,
+                  evaluate, framework_digest, generate_random, is_adjacent_complete, serialize)
 from hafs.bridge import FLOAT_RESIDUAL_TOL
 from hafs.labellings import THREE_VALUES
 
@@ -398,3 +401,112 @@ def reference_parse(text: str) -> HAFS:
         rel = Relation(eid, source, target)
         (atts if head == "att" else supps).append(rel)
     return HAFS(args, atts, supps)
+
+
+# -- formula walkers -----------------------------------------------------------
+
+
+class ReferenceOps(NamedTuple):
+    """The connectives of one value domain, for :func:`reference_fold`."""
+
+    logic: str  # named when a disjunction is not interpreted
+    one: object
+    zero: object
+    neg: Callable
+    tnorm: Callable
+    join: Callable | None  # None outside the three-valued logic
+    impl: Callable
+
+
+def reference_fold(f: Formula, leaf: Callable, ops: ReferenceOps):
+    """Value of ``f`` by one recursive call per node: ``leaf(element)`` at
+    each variable, the t-norm folded from ``one`` over every child of a
+    conjunction and the join from ``zero`` over a disjunction, with no
+    short-circuit; the biconditional is the t-norm of the two implications."""
+    if isinstance(f, Var):
+        return leaf(f.element)
+    if isinstance(f, Not):
+        return ops.neg(reference_fold(f.child, leaf, ops))
+    if isinstance(f, And):
+        acc = ops.one
+        for child in f.children:
+            acc = ops.tnorm(acc, reference_fold(child, leaf, ops))
+        return acc
+    if isinstance(f, Iff):
+        m, n = reference_fold(f.lhs, leaf, ops), reference_fold(f.rhs, leaf, ops)
+        return ops.tnorm(ops.impl(m, n), ops.impl(n, m))
+    if isinstance(f, Implies):
+        return ops.impl(reference_fold(f.lhs, leaf, ops), reference_fold(f.rhs, leaf, ops))
+    if isinstance(f, Top):
+        return ops.one
+    if isinstance(f, Bottom):
+        return ops.zero
+    if isinstance(f, Or):
+        if ops.join is None:
+            raise EvaluationError(f"disjunction is not interpreted in the {ops.logic} logic")
+        acc = ops.zero
+        for child in f.children:
+            acc = ops.join(acc, reference_fold(child, leaf, ops))
+        return acc
+    raise EvaluationError(f"unknown formula node {type(f).__name__}")
+
+
+def reference_variables(f: Formula) -> frozenset[ElementId]:
+    if isinstance(f, Var):
+        return frozenset((f.element,))
+    if isinstance(f, (Top, Bottom)):
+        return frozenset()
+    if isinstance(f, Not):
+        return reference_variables(f.child)
+    if isinstance(f, (And, Or)):
+        out: frozenset[ElementId] = frozenset()
+        for c in f.children:
+            out |= reference_variables(c)
+        return out
+    return reference_variables(f.lhs) | reference_variables(f.rhs)
+
+
+def reference_formula_to_text(f: Formula) -> str:
+    if isinstance(f, Var):
+        return f.element.name
+    if isinstance(f, Top):
+        return "T"
+    if isinstance(f, Bottom):
+        return "F"
+    if isinstance(f, Not):
+        return "~" + reference_formula_to_text(f.child)
+    if isinstance(f, And):
+        if not f.children:
+            return "T"
+        return "(" + " & ".join(reference_formula_to_text(c) for c in f.children) + ")"
+    if isinstance(f, Or):
+        if not f.children:
+            return "F"
+        return "(" + " | ".join(reference_formula_to_text(c) for c in f.children) + ")"
+    if isinstance(f, Implies):
+        return f"({reference_formula_to_text(f.lhs)} -> {reference_formula_to_text(f.rhs)})"
+    if isinstance(f, Iff):
+        return f"({reference_formula_to_text(f.lhs)} <-> {reference_formula_to_text(f.rhs)})"
+    raise ValueError(f"unknown formula node {type(f).__name__}")
+
+
+def reference_formula_to_json_obj(f: Formula) -> dict:
+    if isinstance(f, Var):
+        return {"op": "var", "id": f.element.qualified}
+    if isinstance(f, Top):
+        return {"op": "top"}
+    if isinstance(f, Bottom):
+        return {"op": "bottom"}
+    if isinstance(f, Not):
+        return {"op": "not", "child": reference_formula_to_json_obj(f.child)}
+    if isinstance(f, And):
+        return {"op": "and", "children": [reference_formula_to_json_obj(c) for c in f.children]}
+    if isinstance(f, Or):
+        return {"op": "or", "children": [reference_formula_to_json_obj(c) for c in f.children]}
+    if isinstance(f, Implies):
+        return {"op": "implies", "lhs": reference_formula_to_json_obj(f.lhs),
+                "rhs": reference_formula_to_json_obj(f.rhs)}
+    if isinstance(f, Iff):
+        return {"op": "iff", "lhs": reference_formula_to_json_obj(f.lhs),
+                "rhs": reference_formula_to_json_obj(f.rhs)}
+    raise ValueError(f"unknown formula node {type(f).__name__}")

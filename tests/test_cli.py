@@ -101,6 +101,10 @@ class TestEncode:
         ast = json.loads(out)["formula"]
         assert ast["op"] == "and" and len(ast["children"]) == 2
 
+    def test_unknown_logic_is_a_usage_error(self, example3_file):
+        code, out, err = invoke(["encode", example3_file, "--logic", "boolean"])
+        assert code == 2 and out == "" and "invalid choice: 'boolean'" in err
+
 
 class TestEval:
     def test_exact_model(self, example3_file):

@@ -1,0 +1,147 @@
+"""Every reading of a formula on a chain deeper than the recursion limit,
+and the precedence of the errors that the walk raises."""
+
+import sys
+from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from hafs import (And, Assignment, EvaluationError, Formula, GODEL, Implies, L3, LUKASIEWICZ,
+                  Not, Or, PRODUCT, Var, argument, compile_evaluator, evaluate,
+                  formula_to_json_obj, formula_to_text, variables)
+from hafs import bridge
+from hafs.logic import _fold
+
+A, B, C = argument("a"), argument("b"), argument("c")
+LOGICS = (L3, GODEL, PRODUCT, LUKASIEWICZ)
+FUZZY = (GODEL, PRODUCT, LUKASIEWICZ)
+
+
+class TestDeepFormulas:
+    """A chain of mixed Not, And and Implies nodes three times deeper than
+    the recursion limit, through every reading."""
+
+    DEPTH = 3 * sys.getrecursionlimit() + 7
+
+    @classmethod
+    def chain(cls):
+        f, text = Var(A), "a"
+        for i in range(cls.DEPTH):
+            if i % 3 == 0:
+                f, text = Not(f), "~" + text
+            elif i % 3 == 1:
+                f, text = And((f, Var(B))), f"({text} & b)"
+            else:
+                f, text = Implies(Var(B), f), f"(b -> {text})"
+        return f, text
+
+    @staticmethod
+    def godel_value(a, b, depth):
+        """The chain's Gödel value, step by step from the leaf."""
+        value = a
+        for i in range(depth):
+            if i % 3 == 0:
+                value = 1 - value
+            elif i % 3 == 1:
+                value = min(value, b)
+            else:
+                value = 1 if b <= value else value
+        return value
+
+    def test_every_reading_walks_a_deep_chain(self):
+        f, text = self.chain()
+        a, b = Fraction(1, 4), Fraction(3, 4)
+        expected = self.godel_value(a, b, self.DEPTH)
+
+        assert variables(f) == {A, B}
+        assert formula_to_text(f) == text
+        assert evaluate(f, Assignment({A: a, B: b}), GODEL) == expected
+        values = compile_evaluator(f, GODEL)({A: np.full(2, float(a)), B: np.full(2, float(b))})
+        assert values.tolist() == [float(expected)] * 2
+        one = np.ones(2, dtype=np.int64)
+        num, den = _fold(f, {A: (one, 4 * one), B: (3 * one, 4 * one)}.__getitem__,
+                         bridge._exact_ops(GODEL, one))
+        assert [Fraction(int(n), int(d)) for n, d in zip(num, den)] == [expected] * 2
+
+        # walked here without recursion: == on nested dicts recurses in C
+        node, ops = formula_to_json_obj(f), []
+        while node["op"] != "var":
+            ops.append(node["op"])
+            node = {"not": lambda: node["child"], "and": lambda: node["children"][0],
+                    "implies": lambda: node["rhs"]}[node["op"]]()
+        assert node == {"op": "var", "id": "arg:a"}
+        assert ops == [("not", "and", "implies")[i % 3] for i in reversed(range(self.DEPTH))]
+
+
+@dataclass(frozen=True)
+class Xor(Formula):
+    """A node class that no reading knows."""
+
+    lhs: Formula
+    rhs: Formula
+
+
+@dataclass(frozen=True)
+class Negation(Not):
+    pass
+
+
+@dataclass(frozen=True)
+class Disjunction(Or):
+    pass
+
+
+class TestErrorPrecedence:
+    """Each check fires as soon as the walk reaches its node, left to right."""
+
+    @staticmethod
+    def readings(logic, point):
+        """The value readings under ``logic`` at ``point``, which maps each
+        assigned element to 1/2."""
+        one = np.ones(2, dtype=np.int64)
+        floats = {x: np.full(2, 0.5) for x in point}
+        exact = {x: (one, 2 * one) for x in point}
+        calls = [lambda f: evaluate(f, point, logic),
+                 lambda f: compile_evaluator(f, logic)(floats)]
+        if logic is not L3:
+            calls.append(lambda f: _fold(f, exact.__getitem__, bridge._exact_ops(logic, one)))
+        return calls
+
+    @pytest.mark.parametrize("logic", FUZZY, ids=lambda x: x.name)
+    def test_disjunction_raises_before_its_leaves_are_read(self, logic):
+        message = f"disjunction is not interpreted in the {logic.name} logic"
+        for call in self.readings(logic, {A: Fraction(1, 2)}):
+            for f in (And((Var(A), Or((Var(B),)))), Not(Disjunction((Var(B), Var(C))))):
+                with pytest.raises(EvaluationError) as info:
+                    call(f)
+                assert str(info.value) == message
+        # a leaf left of the disjunction is read first
+        with pytest.raises(EvaluationError, match="variable arg:b is unassigned"):
+            evaluate(And((Var(B), Or((Var(A),)))), {A: Fraction(1, 2)}, logic)
+
+    @pytest.mark.parametrize("logic", LOGICS, ids=lambda x: x.name)
+    def test_unknown_node_raises_evaluation_error(self, logic):
+        for call in self.readings(logic, {A: Fraction(1, 2)}):
+            with pytest.raises(EvaluationError) as info:
+                call(And((Var(A), Xor(Var(B), Var(C)))))
+            assert str(info.value) == "unknown formula node Xor"
+        with pytest.raises(EvaluationError, match="variable arg:b is unassigned"):
+            evaluate(And((Var(B), Xor(Var(A), Var(A)))), {A: Fraction(1, 2)}, logic)
+
+    def test_unknown_node_raises_value_error_from_the_renderers(self):
+        for render in (formula_to_text, formula_to_json_obj):
+            with pytest.raises(ValueError) as info:
+                render(Not(Xor(Var(A), Var(B))))
+            assert type(info.value) is ValueError
+            assert str(info.value) == "unknown formula node Xor"
+
+    def test_subclass_reads_as_its_node_class(self):
+        f = Disjunction((Negation(Var(A)), Var(B)))
+        assert formula_to_text(f) == "(~a | b)"
+        assert formula_to_json_obj(f) == {"op": "or", "children": [
+            {"op": "not", "child": {"op": "var", "id": "arg:a"}}, {"op": "var", "id": "arg:b"}]}
+        assert variables(f) == {A, B}
+        assert evaluate(f, {A: Fraction(1), B: Fraction(1, 2)}, L3) == Fraction(1, 2)
+        assert evaluate(Negation(Var(A)), {A: Fraction(1, 4)}, GODEL) == Fraction(3, 4)

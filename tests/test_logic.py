@@ -12,9 +12,11 @@ from hafs import (And, Assignment, BUILTIN_LOGICS, Bottom, EvaluationError, GODE
                   formula_to_json_obj, formula_to_text, get_logic, is_model, parse,
                   serialize, support_id, variables)
 from hafs import bridge
-from hafs.logic import _fold
+from hafs.equations import _IMPLICATIONS_Q, _TNORMS_Q, _neg_q
+from hafs.logic import _IMPLICATIONS_F, _TNORMS_F, _fold, _lookup
 
-from helpers import corpus
+from helpers import (ReferenceOps, corpus, reference_fold, reference_formula_to_json_obj,
+                     reference_formula_to_text, reference_variables)
 
 V0, VH, V1 = Fraction(0), Fraction(1, 2), Fraction(1)
 THREE = (V0, VH, V1)
@@ -295,6 +297,99 @@ class TestFoldTables:
                     call()
                 messages.append(str(info.value))
             assert messages == [f"disjunction is not interpreted in the {logic.name} logic"] * 3
+
+
+# -- every reading against the recursive reference walkers ----------------------
+
+C = argument("c")
+LOGICS = (L3, GODEL, PRODUCT, LUKASIEWICZ)
+
+
+def _outcome(call):
+    """("value", v) or ("error", class, message), so that both sides compare."""
+    try:
+        return ("value", call())
+    except (EvaluationError, ValueError) as exc:
+        return ("error", type(exc), str(exc))
+
+
+def _scalar_ops(logic):
+    join = max if logic is L3 else None
+    return ReferenceOps(logic.name, 1, 0, logic.negation, logic.tnorm, join, logic.implication)
+
+
+def _float_ops(logic):
+    join = np.maximum if logic is L3 else None
+    return ReferenceOps(logic.name, 1.0, 0.0, logic.negation, _TNORMS_F[logic.tnorm], join,
+                        _IMPLICATIONS_F[logic.implication])
+
+
+def _exact_ops(logic, one):
+    return ReferenceOps(logic.name, (one, one), (np.zeros_like(one), one), _neg_q,
+                        _TNORMS_Q[logic.tnorm], None, _IMPLICATIONS_Q[logic.implication])
+
+
+def _compositions(children):
+    many = st.lists(children, max_size=3).map(tuple)
+    return st.one_of(
+        children.map(Not),
+        many.map(And),
+        many.map(Or),
+        st.tuples(children, children).map(lambda pair: Implies(*pair)),
+        st.tuples(children, children).map(lambda pair: Iff(*pair)),
+    )
+
+
+# all eight node kinds, with empty conjunctions and disjunctions
+formulas = st.recursive(
+    st.one_of(st.sampled_from([A, B, C]).map(Var), st.just(Top()), st.just(Bottom())),
+    _compositions, max_leaves=16)
+
+# a value per element, None for unassigned; 1/4 is outside the three values
+point_values = st.one_of(
+    st.sampled_from([None, 0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1]), floats01)
+
+
+class TestAgainstReferenceWalkers:
+    @given(f=formulas)
+    def test_renderings_and_variables(self, f):
+        assert formula_to_text(f) == reference_formula_to_text(f)
+        assert formula_to_json_obj(f) == reference_formula_to_json_obj(f)
+        assert variables(f) == reference_variables(f)
+
+    @given(f=formulas, values=st.tuples(point_values, point_values, point_values))
+    def test_evaluate(self, f, values):
+        point = {x: v for x, v in zip((A, B, C), values) if v is not None}
+        for logic in LOGICS:
+            expected = _outcome(lambda: reference_fold(
+                f, lambda e: _lookup(point, e, logic), _scalar_ops(logic)))
+            assert _outcome(lambda: evaluate(f, point, logic)) == expected, logic.name
+
+    @given(f=formulas, seed=st.integers(0, 2 ** 32 - 1))
+    def test_compile_evaluator_and_exact_grid(self, f, seed):
+        rng = np.random.default_rng(seed)
+        floats = {x: TestFoldTables._floats(rng, 8) for x in (A, B, C)}
+        one = np.ones(8, dtype=np.int64)
+        exact = {x: (rng.integers(0, 5, 8), 4 * one) for x in (A, B, C)}
+
+        def same(got, expected):
+            if got[0] == "error" or expected[0] == "error":
+                return got == expected
+            return np.array_equal(np.broadcast_to(got[1], 8), np.broadcast_to(expected[1], 8))
+
+        for logic in LOGICS:
+            got = _outcome(lambda: compile_evaluator(f, logic)(floats))
+            expected = _outcome(lambda: reference_fold(f, floats.__getitem__, _float_ops(logic)))
+            assert same(got, expected), logic.name
+        for logic in (GODEL, PRODUCT, LUKASIEWICZ):
+            got = _outcome(lambda: _fold(f, exact.__getitem__, bridge._exact_ops(logic, one)))
+            expected = _outcome(lambda: reference_fold(f, exact.__getitem__,
+                                                       _exact_ops(logic, one)))
+            if got[0] == expected[0] == "value":
+                assert all(np.array_equal(*pair) for pair in zip(got[1], expected[1])), \
+                    logic.name
+            else:
+                assert got == expected, logic.name
 
 
 class TestAssignment:
