@@ -16,7 +16,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 import numpy as np
 
-from .equations import (EquationSystem, _exact, _exact_ops, _quarter_columns, _solution_mask,
+from .equations import (EquationSystem, _exact, _model_mask, _quarter_columns, _solution_mask,
                         build_equations, enumerate_ternary_solutions, solve_fixed_point)
 from .errors import PreconditionError, ValidationError
 from .extensions import enumerate_extensions, extension_derived_labelling
@@ -25,7 +25,7 @@ from .labellings import HALF, ONE, THREE_VALUES, ZERO, Labelling3, _by_level, _f
     _survivors, _three_valued, enumerate_adjacent_complete, is_adjacent_complete
 from .limits import DEFAULT_LABELLING_BOUND, check_universe
 from .logic import And, Assignment, Formula, GODEL, L3, LogicSystem, LUKASIEWICZ, PRODUCT, \
-    _fold, compile_evaluator, encode_normal, get_logic, variables
+    compile_evaluator, encode_normal, get_logic, variables
 
 FLOAT_TERNARIZE_TOL = 1e-6
 FLOAT_RESIDUAL_TOL = 1e-12
@@ -289,14 +289,10 @@ def _grid_verdicts(formulas, elements, logic: LogicSystem, view: Incidence, posi
                    codes: np.ndarray, dtype):
     """Model and solution masks of a chunk of quarter-grid rows: whether
     every formula is 1, and whether the equation of each element at ``elements`` holds."""
-    columns = _quarter_columns(positions, codes, dtype)
+    columns = _quarter_columns(positions, codes, logic, dtype)
     one = np.ones(len(codes), dtype=dtype)
-    ops = _exact_ops(logic, one)
-    model = np.ones(len(codes), dtype=bool)
-    for f in formulas:
-        num, den = _fold(f, lambda e: columns[view.position[e]], ops)
-        model &= num == den
-    return model, _solution_mask(view, elements, logic, columns, one)
+    return (_model_mask(formulas, lambda e: columns[view.position[e]], logic, one),
+            _solution_mask(view, elements, logic, columns, one))
 
 
 def _level_check(formula: Formula, system: EquationSystem):

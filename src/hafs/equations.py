@@ -14,6 +14,7 @@ import itertools
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -22,9 +23,9 @@ from .errors import PreconditionError, ValidationError
 from .framework import HAFS, ElementId, Incidence
 from .labellings import _by_level, _three_valued
 from .limits import DEFAULT_TERNARY_BOUND, check_universe
-from .logic import (_TNORMS_F, Assignment, LogicSystem, _connectives, _impl_godel,
-                    _impl_lukasiewicz, _impl_product, _standard_negation, _tnorm_lukasiewicz,
-                    _tnorm_min, _tnorm_product)
+from .logic import (_TNORMS_F, Assignment, LogicSystem, _connectives, _fold, _impl_godel,
+                    _impl_lukasiewicz, _standard_negation, _tnorm_lukasiewicz, _tnorm_min,
+                    _tnorm_product)
 
 
 def h_function(logic: LogicSystem,
@@ -506,14 +507,21 @@ def _snap(apply, x: list[float], gap: float, tolerance: float) -> tuple[list[flo
 
 # -- exact kernels ---------------------------------------------------------------
 #
-# Grid values are k/4 for codes k = 0..4.  A chunk of grid rows holds each
-# element's value as a pair of integer arrays (numerator, denominator) with
-# positive denominators; products and quotients are reduced by their gcd.
-# Values lie in [0, 1], so while every denominator stays below 2^31 the
-# product of any two numerators or denominators fits in int64.  A chunk that
-# leaves that range is recomputed on Python ints (dtype=object) through the
-# same kernels.  The equations (_solution_mask) and the encoded formula
-# (_exact_ops) read values in this format through these kernels only.
+# Grid values are k/4 for codes k = 0..4.  Each fuzzy logic holds the values
+# of a chunk of grid rows in one exact format:
+# - Gödel and Łukasiewicz hold k/4 as its quarter numerator k, in the codes'
+#   own int8 arrays.  The quarter grid is closed under 1 - x, min,
+#   max(0, x + y - 1), the Gödel implication and min(1, 1 - m + n), so every
+#   value is a quarter and every intermediate lies in [0, 8].
+# - Product holds a value as a pair of integer arrays (numerator,
+#   denominator) with positive denominators, since 1/2 * 1/2 = 1/4 and its
+#   implication divides.  Values lie in [0, 1], so while every denominator
+#   stays below 2^31 the product of any two numerators or denominators fits
+#   in int64.  Only a result with a denominator of 2^31 or more is reduced by
+#   its gcd, and a chunk still that wide is recomputed on Python ints
+#   (dtype=object) through the same kernels, where every result is reduced.
+# The equations (_solution_mask) and the encoded formula (_model_mask) read
+# values in these formats through these kernels only.
 
 _INT64_SAFE = 2 ** 31
 _QUARTER_NUM = np.array([0, 1, 1, 3, 1], dtype=np.int64)
@@ -521,7 +529,7 @@ _QUARTER_DEN = np.array([1, 4, 2, 4, 1], dtype=np.int64)
 
 
 class _TooWide(Exception):
-    """An int64 chunk produced a denominator of 2^31 or more."""
+    """An int64 chunk produced a value whose reduced denominator is 2^31 or more."""
 
 
 def _exact(kernel, *args):
@@ -532,8 +540,32 @@ def _exact(kernel, *args):
         return kernel(*args, object)
 
 
+def _neg_4(x):
+    return 4 - x
+
+
+def _tnorm_lukasiewicz_4(x, y):
+    return np.maximum(x + y - 4, 0)
+
+
+def _impl_godel_4(m, n):
+    return np.where(m <= n, 4, n)
+
+
+def _impl_lukasiewicz_4(m, n):
+    return np.minimum(4 - m + n, 4)
+
+
+# keyed by the built-in t-norms and implications under which the quarter
+# grid is closed; every built-in negation is 1 - x
+_TNORMS_4 = {_tnorm_min: np.minimum, _tnorm_lukasiewicz: _tnorm_lukasiewicz_4}
+_IMPLICATIONS_4 = {_impl_godel: _impl_godel_4, _impl_lukasiewicz: _impl_lukasiewicz_4}
+
+
 def _reduced(num, den):
-    if not den.size:
+    """``(num, den)``, reduced by their gcd on Python ints, and on int64
+    only once a denominator reaches 2^31; :class:`_TooWide` if one still does."""
+    if not den.size or den.dtype != object and int(den.max()) < _INT64_SAFE:
         return num, den
     g = np.gcd(num, den)
     num, den = num // g, den // g
@@ -542,91 +574,72 @@ def _reduced(num, den):
     return num, den
 
 
-def _le(x, y):
-    return x[0] * y[1] <= y[0] * x[1]
-
-
 def _neg_q(x):
     return x[1] - x[0], x[1]
-
-
-def _tnorm_min_q(x, y):
-    keep = _le(x, y)
-    return np.where(keep, x[0], y[0]), np.where(keep, x[1], y[1])
 
 
 def _tnorm_product_q(x, y):
     return _reduced(x[0] * y[0], x[1] * y[1])
 
 
-def _tnorm_lukasiewicz_q(x, y):
-    # (x - 1) + y: two terms of opposite sign, each of magnitude below 2^62
-    num = (x[0] - x[1]) * y[1] + y[0] * x[1]
-    return _reduced(np.maximum(num, 0), x[1] * y[1])
-
-
-# keyed by the built-in t-norms; every built-in negation is 1 - x
-_TNORMS_Q = {_tnorm_min: _tnorm_min_q, _tnorm_product: _tnorm_product_q,
-             _tnorm_lukasiewicz: _tnorm_lukasiewicz_q}
-
-
-def _impl_godel_q(m, n):
-    le = _le(m, n)
-    return np.where(le, 1, n[0]), np.where(le, 1, n[1])
-
-
 def _impl_product_q(m, n):
-    le = _le(m, n)  # where it fails, m > n >= 0, so m's numerator is positive
+    le = m[0] * n[1] <= n[0] * m[1]  # where it fails, m > n >= 0, so m's numerator is positive
     return _reduced(np.where(le, 1, n[0] * m[1]), np.where(le, 1, n[1] * m[0]))
 
 
-def _impl_lukasiewicz_q(m, n):
-    # 1 - m + n capped at 1; the uncapped numerator is at most 2 * den < 2^63
-    num = (m[1] - m[0]) * n[1] + n[0] * m[1]
-    den = m[1] * n[1]
-    cap = num >= den
-    return _reduced(np.where(cap, 1, num), np.where(cap, 1, den))
-
-
-# keyed by the built-in implications
-_IMPLICATIONS_Q = {_impl_godel: _impl_godel_q, _impl_product: _impl_product_q,
-                   _impl_lukasiewicz: _impl_lukasiewicz_q}
+def _quarters(logic: LogicSystem) -> bool:
+    """Whether ``logic`` holds exact values as quarter numerators, not as
+    (numerator, denominator) pairs."""
+    return logic.tnorm in _TNORMS_4
 
 
 def _exact_ops(logic: LogicSystem, one: np.ndarray) -> dict:
-    """The exact (numerator, denominator) connectives of a fuzzy ``logic``
-    on chunks of ``len(one)`` rows; disjunction is not interpreted."""
+    """The exact connectives of a fuzzy ``logic`` in its format, on chunks
+    of ``len(one)`` rows; disjunction is not interpreted."""
+    if _quarters(logic):
+        return _connectives(logic.name, 4, 0, _neg_4, _TNORMS_4[logic.tnorm], None,
+                            _IMPLICATIONS_4[logic.implication])
     return _connectives(logic.name, (one, one), (np.zeros_like(one), one), _neg_q,
-                        _TNORMS_Q[logic.tnorm], None, _IMPLICATIONS_Q[logic.implication])
+                        _tnorm_product_q, None, _impl_product_q)
 
 
-def _fold_q(tnorm, terms, one):
-    """t-norm fold of ``terms``; the empty fold is 1."""
-    acc = None
-    for term in terms:
-        acc = term if acc is None else tnorm(acc, term)
-    return (one, one) if acc is None else acc
-
-
-def _quarter_columns(positions, codes: np.ndarray, dtype) -> dict:
-    """Exact values of the columns ``positions`` of ``codes``, by position."""
+def _quarter_columns(positions, codes: np.ndarray, logic: LogicSystem, dtype) -> dict:
+    """Exact values of the columns ``positions`` of ``codes``, by position,
+    in ``logic``'s format."""
+    if _quarters(logic):
+        return {j: codes[:, j] for j in positions}
     num, den = _QUARTER_NUM.astype(dtype), _QUARTER_DEN.astype(dtype)
     return {j: (num.take(codes[:, j]), den.take(codes[:, j])) for j in positions}
+
+
+def _model_mask(formulas, leaf, logic: LogicSystem, one: np.ndarray) -> np.ndarray:
+    """Rows of a chunk on which every formula of ``formulas`` is 1, with
+    ``leaf(element)`` the exact value of each variable."""
+    ops, quarters = _exact_ops(logic, one), _quarters(logic)
+    mask = np.ones(len(one), dtype=bool)
+    for f in formulas:
+        value = _fold(f, leaf, ops)
+        mask &= value == 4 if quarters else value[0] == value[1]
+    return mask
 
 
 def _solution_mask(view: Incidence, elements, logic: LogicSystem, columns: dict,
                    one: np.ndarray) -> np.ndarray:
     """Rows of a chunk on which the equation of each element at
     ``elements`` holds: its value equals the fold of its incoming pairs."""
-    tnorm = _TNORMS_Q[logic.tnorm]
+    quarters = _quarters(logic)
+    if quarters:
+        neg, tnorm, unit = _neg_4, _TNORMS_4[logic.tnorm], 4
+    else:
+        neg, tnorm, unit = _neg_q, _tnorm_product_q, (one, one)
     mask = np.ones(len(one), dtype=bool)
     for a in elements:
         attacks, supports = view.incoming[a]
-        terms = [_neg_q(tnorm(columns[b], columns[r])) for b, r in attacks]
-        terms += [_neg_q(tnorm(_neg_q(columns[c]), columns[t])) for c, t in supports]
-        num, den = _fold_q(tnorm, terms, one)
+        terms = [neg(tnorm(columns[b], columns[r])) for b, r in attacks]
+        terms += [neg(tnorm(neg(columns[c]), columns[t])) for c, t in supports]
+        fold = reduce(tnorm, terms) if terms else unit
         value = columns[a]
-        mask &= value[0] * den == num * value[1]
+        mask &= value == fold if quarters else value[0] * fold[1] == fold[0] * value[1]
     return mask
 
 
@@ -642,7 +655,8 @@ def enumerate_ternary_solutions(system: EquationSystem,
     """
     logic, order = system.logic, system.universe
     check_universe(len(order), bound, DEFAULT_TERNARY_BOUND)
-    if logic.tnorm not in _TNORMS_Q or logic.negation is not _standard_negation:
+    exact = _quarters(logic) or logic.tnorm is _tnorm_product
+    if not exact or logic.negation is not _standard_negation:
         raise PreconditionError(f"logic {logic.name} has no exact kernel")
     view = system.framework.incidence
     levels = _by_level(range(len(order)), range(len(order)),
@@ -650,7 +664,7 @@ def enumerate_ternary_solutions(system: EquationSystem,
 
     def check(codes, elements):
         def mask(dtype):
-            columns = _quarter_columns(range(codes.shape[1]), 2 * codes, dtype)
+            columns = _quarter_columns(range(codes.shape[1]), 2 * codes, logic, dtype)
             return _solution_mask(view, elements, logic, columns,
                                   np.ones(len(codes), dtype=dtype))
         return _exact(mask)[:, None]

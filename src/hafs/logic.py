@@ -268,9 +268,10 @@ class Assignment(Mapping):
 # Every reading of a formula goes through the one walker, :func:`_fold`, with
 # a table from node class to the function that combines the values of a
 # node's children: its value with checked scalar leaves (evaluate), on
-# float64 arrays (compile_evaluator) and, for the exact grid, on
-# (numerator, denominator) integer arrays (equations._exact_ops); and its
-# text and JSON renderings.
+# float64 arrays (compile_evaluator) and, for the exact grid, on integer
+# arrays in each fuzzy logic's exact format (equations._exact_ops): quarter
+# numerators under Gödel and Łukasiewicz, and (numerator, denominator) pairs
+# under Product, reduced only past 2^31; and its text and JSON renderings.
 
 THREE_VALUES = (Fraction(0), Fraction(1, 2), Fraction(1))
 
@@ -433,12 +434,24 @@ def is_model(h: HAFS, assignment: Mapping, logic: LogicSystem) -> bool:
 # -- rendering ---------------------------------------------------------------
 
 
-# composite children parenthesise themselves
-_TEXT = {Top: lambda: "T", Bottom: lambda: "F", Not: lambda child: "~" + child,
-         And: lambda *children: "(" + " & ".join(children) + ")" if children else "T",
-         Or: lambda *children: "(" + " | ".join(children) + ")" if children else "F",
-         Implies: lambda lhs, rhs: f"({lhs} -> {rhs})",
-         Iff: lambda lhs, rhs: f"({lhs} <-> {rhs})", Formula: _unknown_node}
+def _infix(op: str, children: tuple, empty: str):
+    if not children:
+        return empty
+    pieces = ["("]
+    for child in children:
+        pieces += (child, op)
+    pieces[-1] = ")"
+    return tuple(pieces)
+
+
+# each node's text as a tuple of pieces, strings or the pieces of its
+# children, which formula_to_text joins once; composite children parenthesise
+# themselves
+_TEXT = {Top: lambda: "T", Bottom: lambda: "F", Not: lambda child: ("~", child),
+         And: lambda *children: _infix(" & ", children, "T"),
+         Or: lambda *children: _infix(" | ", children, "F"),
+         Implies: lambda lhs, rhs: ("(", lhs, " -> ", rhs, ")"),
+         Iff: lambda lhs, rhs: ("(", lhs, " <-> ", rhs, ")"), Formula: _unknown_node}
 
 _JSON = {Top: lambda: {"op": "top"}, Bottom: lambda: {"op": "bottom"},
          Not: lambda child: {"op": "not", "child": child},
@@ -450,7 +463,14 @@ _JSON = {Top: lambda: {"op": "top"}, Bottom: lambda: {"op": "bottom"},
 
 def formula_to_text(f: Formula) -> str:
     """Canonical fully parenthesised form; Top/Bottom print as T/F."""
-    return _fold(f, attrgetter("name"), _TEXT)
+    out, todo = [], [_fold(f, attrgetter("name"), _TEXT)]
+    while todo:
+        piece = todo.pop()
+        if isinstance(piece, str):
+            out.append(piece)
+        else:
+            todo.extend(reversed(piece))
+    return "".join(out)
 
 
 def formula_to_json_obj(f: Formula) -> dict:

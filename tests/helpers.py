@@ -11,7 +11,8 @@ support acyclicity by Kahn's algorithm, each element's incoming pairs and
 the relation checks by an id-keyed grouping and a recursive cycle search,
 framework text by a character-by-character tokenizer and a token-stream
 parser, and formula values, variables and renderings by one recursive
-function per reading.
+function per reading, and the exact grid kernels of Gödel and Łukasiewicz
+by (numerator, denominator) kernels reduced after every step.
 """
 
 from __future__ import annotations
@@ -23,12 +24,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from hafs import (HAFS, L3, And, Assignment, Bottom, ElementId, EquationSystem,
                   EvaluationError, Formula, Iff, Implies, InfeasibleParametersError, Kind,
                   Labelling3, LogicSystem, Not, Or, ParseError, Relation, Top,
                   ValidationError, Var, build_equations, classify_set, dft, encode_normal,
                   evaluate, framework_digest, generate_random, is_adjacent_complete, serialize)
 from hafs.bridge import FLOAT_RESIDUAL_TOL
+from hafs.equations import _TooWide, _quarters
 from hafs.labellings import THREE_VALUES
 
 
@@ -510,3 +514,67 @@ def reference_formula_to_json_obj(f: Formula) -> dict:
         return {"op": "iff", "lhs": reference_formula_to_json_obj(f.lhs),
                 "rhs": reference_formula_to_json_obj(f.rhs)}
     raise ValueError(f"unknown formula node {type(f).__name__}")
+
+
+# -- exact (numerator, denominator) kernels --------------------------------------
+
+
+def reference_reduced(num, den):
+    """``(num, den)`` reduced by their gcd at every step; on int64,
+    :class:`_TooWide` where a reduced denominator is 2^31 or more."""
+    if not den.size:
+        return num, den
+    g = np.gcd(num, den)
+    num, den = num // g, den // g
+    if den.dtype != object and int(den.max()) >= 2 ** 31:
+        raise _TooWide
+    return num, den
+
+
+def _le(x, y):
+    return x[0] * y[1] <= y[0] * x[1]
+
+
+def reference_tnorm_min_q(x, y):
+    keep = _le(x, y)
+    return np.where(keep, x[0], y[0]), np.where(keep, x[1], y[1])
+
+
+def reference_tnorm_lukasiewicz_q(x, y):
+    # (x - 1) + y: two terms of opposite sign, each of magnitude below 2^62
+    num = (x[0] - x[1]) * y[1] + y[0] * x[1]
+    return reference_reduced(np.maximum(num, 0), x[1] * y[1])
+
+
+def reference_impl_godel_q(m, n):
+    le = _le(m, n)
+    return np.where(le, 1, n[0]), np.where(le, 1, n[1])
+
+
+def reference_impl_lukasiewicz_q(m, n):
+    # 1 - m + n capped at 1; the uncapped numerator is at most 2 * den < 2^63
+    num = (m[1] - m[0]) * n[1] + n[0] * m[1]
+    den = m[1] * n[1]
+    cap = num >= den
+    return reference_reduced(np.where(cap, 1, num), np.where(cap, 1, den))
+
+
+def exact_leaf(logic: LogicSystem, quarters: np.ndarray):
+    """The values k/4 of the quarter numerators ``quarters`` in the exact
+    format of ``logic``: the numerators themselves, or (k, 4) pairs."""
+    if _quarters(logic):
+        return quarters
+    return quarters.astype(np.int64), np.full(len(quarters), 4, dtype=np.int64)
+
+
+def exact_fractions(logic: LogicSystem, value, rows: int) -> list[Fraction]:
+    """The ``rows`` values of an exact ``value`` in ``logic``'s format, as fractions."""
+    if _quarters(logic):
+        return [Fraction(int(k), 4) for k in np.broadcast_to(value, rows)]
+    return pair_fractions(value, rows)
+
+
+def pair_fractions(value, rows: int) -> list[Fraction]:
+    """The ``rows`` values of a (numerator, denominator) ``value``, as fractions."""
+    num, den = (np.broadcast_to(part, rows) for part in value)
+    return [Fraction(int(n), int(d)) for n, d in zip(num, den)]

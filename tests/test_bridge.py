@@ -15,14 +15,16 @@ from hafs import (Assignment, GODEL, LUKASIEWICZ, PRODUCT, PreconditionError,
                   THEOREM_IDS, ValidationError, argument, build_equations, embed,
                   encode_normal, enumerate_pl3_models, evaluate, framework_digest,
                   is_model, support_id, ternarize, verify)
-from hafs import bridge
+from hafs import bridge, equations
 from hafs.bridge import FLOAT_RESIDUAL_TOL, VerificationReport
 from hafs.cli import run
-from hafs.equations import EquationSystem, _quarter_columns, _reduced, _solution_mask
+from hafs.equations import (_IMPLICATIONS_4, _TNORMS_4, EquationSystem, _TooWide, _exact_ops,
+                           _neg_4, _quarter_columns, _reduced, _solution_mask)
 from hafs.labellings import HALF, ONE, THREE_VALUES, ZERO, grid_codes
-from hafs.logic import _fold
+from hafs.logic import Bottom, Top, _fold
 
-from helpers import corpus, equation_equivalence_report, pl3_models
+from helpers import (corpus, equation_equivalence_report, exact_fractions, pl3_models,
+                     reference_reduced)
 
 A, B = argument("a"), argument("b")
 T1 = support_id("t1")
@@ -202,15 +204,14 @@ class TestExactGrid:
             system = build_equations(h, logic)
             codes = grid_codes(len(h), 5)
             view = h.incidence
-            columns = _quarter_columns(range(len(h)), codes, dtype)
+            columns = _quarter_columns(range(len(h)), codes, logic, dtype)
             one = np.ones(len(codes), dtype=dtype)
-            num, den = _fold(formula, lambda e: columns[view.position[e]],
-                             bridge._exact_ops(logic, one))
+            values = exact_fractions(logic, _fold(formula, lambda e: columns[view.position[e]],
+                                                  _exact_ops(logic, one)), len(codes))
             mask = _solution_mask(view, range(len(h)), logic, columns, one)
             for row, ks in enumerate(codes):
                 point = {e: Fraction(int(k), 4) for e, k in zip(h.universe, ks)}
-                value = Fraction(int(num[row]), int(den[row]))
-                assert value == evaluate(formula, point, logic), (hafs.serialize(h), point)
+                assert values[row] == evaluate(formula, point, logic), (hafs.serialize(h), point)
                 assert bool(mask[row]) == system.is_exact_solution(point), \
                     (hafs.serialize(h), point)
 
@@ -218,6 +219,68 @@ class TestExactGrid:
         for dtype in (np.int64, object):
             num, den = _reduced(np.zeros(0, dtype=dtype), np.zeros(0, dtype=dtype))
             assert num.shape == den.shape == (0,) and den.dtype == dtype
+
+    @pytest.mark.parametrize("logic", [GODEL, LUKASIEWICZ], ids=lambda x: x.name)
+    def test_quarter_kernels_match_scalar_operators(self, logic):
+        # every unary and binary point of the quarter grid, on int8 numerators
+        k = np.arange(5, dtype=np.int8)
+        m, n = np.repeat(k, 5), np.tile(k, 5)
+        quarter = [Fraction(int(v), 4) for v in k]
+        pairs = [(quarter[i], quarter[j]) for i, j in zip(m, n)]
+        ops = _exact_ops(logic, np.ones(25, dtype=np.int64))
+        assert (ops[Top](), ops[Bottom]()) == (4, 0)
+        for got, expected in (
+                (_neg_4(k), [logic.negation(x) for x in quarter]),
+                (_TNORMS_4[logic.tnorm](m, n), [logic.tnorm(x, y) for x, y in pairs]),
+                (_IMPLICATIONS_4[logic.implication](m, n),
+                 [logic.implication(x, y) for x, y in pairs])):
+            assert got.dtype == np.int8
+            assert [Fraction(int(v), 4) for v in got] == expected
+
+    def test_lazy_reduction_matches_eager(self):
+        # denominators below, at and above the int64-safe 2^31, with and
+        # without a common factor that brings them below it again
+        def outcome(reduction, num, den):
+            try:
+                return [Fraction(int(a), int(b)) for a, b in zip(*reduction(num, den))]
+            except _TooWide:
+                return _TooWide
+
+        rng = np.random.default_rng(17)
+        safe = 2 ** 31
+        chunks = [([1], [safe]), ([2], [safe]), ([1, 3], [safe - 1, 4]), ([0], [safe])]
+        for trial in range(400):
+            size = int(rng.integers(1, 6))
+            den = rng.choice([rng.integers(1, 64, size), rng.integers(safe - 40, safe, size),
+                              rng.integers(safe, safe + 40, size),
+                              rng.integers(1, 2 ** 20, size) * rng.integers(1, 2 ** 16, size)])
+            den = np.maximum(den, 1)
+            num = rng.integers(0, den + 1)
+            if trial % 2:  # a common factor on the whole chunk
+                factor = int(rng.integers(2, 2 ** 12))
+                num, den = num * factor, den * factor
+            chunks.append((num, den))
+        for num, den in chunks:
+            num, den = np.array(num, dtype=np.int64), np.array(den, dtype=np.int64)
+            assert outcome(_reduced, num, den) == outcome(reference_reduced, num, den), (num, den)
+        for dtype in (np.int64, object):  # Python ints are reduced at every step
+            num, den = np.array([2, 6], dtype=dtype), np.array([4, 8], dtype=dtype)
+            expected = (np.array([1, 3]), np.array([2, 4])) if dtype is object else (num, den)
+            assert all(np.array_equal(a, b) for a, b in zip(_reduced(num, den), expected))
+
+    def test_quarter_logics_never_reduce(self, monkeypatch):
+        # the exhaustive and the sampled grid, and the exact ternary solutions
+        def reduced(num, den):
+            raise AssertionError("a quarter-numerator logic reached _reduced")
+
+        monkeypatch.setattr(equations, "_reduced", reduced)
+        for h, _ in self.FRAMEWORKS:
+            for logic, theorem_id in ((GODEL, "EQ_G"), (LUKASIEWICZ, "EQ_L")):
+                for grid_cap in (5 ** len(h), 100):
+                    assert verify(h, theorem_id, grid_cap=grid_cap, float_samples=0).passed
+                equations.enumerate_ternary_solutions(build_equations(h, logic))
+        with pytest.raises(AssertionError, match="reached _reduced"):
+            verify(self.FRAMEWORKS[0][0], "EQ_P", float_samples=0)
 
     def test_wide_product_chunks_use_python_ints(self, monkeypatch):
         # the Product fold over ten attacks on one argument has denominators

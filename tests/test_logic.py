@@ -11,12 +11,13 @@ from hafs import (And, Assignment, BUILTIN_LOGICS, Bottom, EvaluationError, GODE
                   Var, argument, attack_id, compile_evaluator, encode_normal, evaluate,
                   formula_to_json_obj, formula_to_text, get_logic, is_model, parse,
                   serialize, support_id, variables)
-from hafs import bridge
-from hafs.equations import _IMPLICATIONS_Q, _TNORMS_Q, _neg_q
+from hafs.equations import _exact_ops, _impl_product_q, _neg_q, _tnorm_product_q
 from hafs.logic import _IMPLICATIONS_F, _TNORMS_F, _fold, _lookup
 
-from helpers import (ReferenceOps, corpus, reference_fold, reference_formula_to_json_obj,
-                     reference_formula_to_text, reference_variables)
+from helpers import (ReferenceOps, corpus, exact_fractions, exact_leaf, pair_fractions,
+                     reference_fold, reference_formula_to_json_obj, reference_formula_to_text,
+                     reference_impl_godel_q, reference_impl_lukasiewicz_q,
+                     reference_tnorm_lukasiewicz_q, reference_tnorm_min_q, reference_variables)
 
 V0, VH, V1 = Fraction(0), Fraction(1, 2), Fraction(1)
 THREE = (V0, VH, V1)
@@ -275,7 +276,7 @@ class TestFoldTables:
             evaluate(f, Assignment({x: VH for x in h.universe}), PRODUCT)
             compile_evaluator(f, PRODUCT)({x: np.full(4, 0.5) for x in h.universe})
             _fold(f, {x: (one, 2 * one) for x in h.universe}.__getitem__,
-                  bridge._exact_ops(PRODUCT, one))
+                  _exact_ops(PRODUCT, one))
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -283,14 +284,13 @@ class TestFoldTables:
     def test_or_raises_the_same_error_from_every_table(self):
         f = And((Var(A), Or((Var(A), Var(B)))))
         one = np.ones(3, dtype=np.int64)
-        quarter = (np.array([1, 1, 0]), np.array([4, 2, 1]))
         for logic in (GODEL, PRODUCT, LUKASIEWICZ):
+            quarters = {A: exact_leaf(logic, np.array([1, 2, 0])), B: exact_leaf(logic, 4 * one)}
             messages = []
             calls = (
                 lambda: evaluate(f, Assignment({A: VH, B: V1}), logic),
                 lambda: compile_evaluator(f, logic)({A: np.full(3, 0.5), B: np.ones(3)}),
-                lambda: _fold(f, {A: quarter, B: (one, one)}.__getitem__,
-                              bridge._exact_ops(logic, one)),
+                lambda: _fold(f, quarters.__getitem__, _exact_ops(logic, one)),
             )
             for call in calls:
                 with pytest.raises(EvaluationError) as info:
@@ -324,9 +324,17 @@ def _float_ops(logic):
                         _IMPLICATIONS_F[logic.implication])
 
 
-def _exact_ops(logic, one):
-    return ReferenceOps(logic.name, (one, one), (np.zeros_like(one), one), _neg_q,
-                        _TNORMS_Q[logic.tnorm], None, _IMPLICATIONS_Q[logic.implication])
+# the (numerator, denominator) kernels of each fuzzy logic: Product's own, and
+# the reference kernels of the two logics that run on quarter numerators
+_PAIR_KERNELS = {GODEL: (reference_tnorm_min_q, reference_impl_godel_q),
+                 PRODUCT: (_tnorm_product_q, _impl_product_q),
+                 LUKASIEWICZ: (reference_tnorm_lukasiewicz_q, reference_impl_lukasiewicz_q)}
+
+
+def _pair_ops(logic, one):
+    tnorm, impl = _PAIR_KERNELS[logic]
+    return ReferenceOps(logic.name, (one, one), (np.zeros_like(one), one), _neg_q, tnorm, None,
+                        impl)
 
 
 def _compositions(children):
@@ -370,7 +378,7 @@ class TestAgainstReferenceWalkers:
         rng = np.random.default_rng(seed)
         floats = {x: TestFoldTables._floats(rng, 8) for x in (A, B, C)}
         one = np.ones(8, dtype=np.int64)
-        exact = {x: (rng.integers(0, 5, 8), 4 * one) for x in (A, B, C)}
+        quarters = {x: rng.integers(0, 5, 8) for x in (A, B, C)}
 
         def same(got, expected):
             if got[0] == "error" or expected[0] == "error":
@@ -381,12 +389,14 @@ class TestAgainstReferenceWalkers:
             got = _outcome(lambda: compile_evaluator(f, logic)(floats))
             expected = _outcome(lambda: reference_fold(f, floats.__getitem__, _float_ops(logic)))
             assert same(got, expected), logic.name
+        # each logic in its own format, against (numerator, denominator) kernels
         for logic in (GODEL, PRODUCT, LUKASIEWICZ):
-            got = _outcome(lambda: _fold(f, exact.__getitem__, bridge._exact_ops(logic, one)))
-            expected = _outcome(lambda: reference_fold(f, exact.__getitem__,
-                                                       _exact_ops(logic, one)))
+            got = _outcome(lambda: _fold(f, lambda x: exact_leaf(logic, quarters[x]),
+                                         _exact_ops(logic, one)))
+            expected = _outcome(lambda: reference_fold(f, lambda x: (quarters[x], 4 * one),
+                                                       _pair_ops(logic, one)))
             if got[0] == expected[0] == "value":
-                assert all(np.array_equal(*pair) for pair in zip(got[1], expected[1])), \
+                assert exact_fractions(logic, got[1], 8) == pair_fractions(expected[1], 8), \
                     logic.name
             else:
                 assert got == expected, logic.name
