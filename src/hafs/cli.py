@@ -14,6 +14,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import bridge, equations, extensions, framework, labellings, logic
 from .errors import (EvaluationError, HafsError, InfeasibleParametersError,
@@ -115,10 +116,142 @@ def _read_framework(path: str, stdin) -> framework.HAFS:
 
 
 def _emit_json(stdout, obj) -> None:
-    stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    stdout.write(_json_text(obj) + "\n")
 
 
-def _parse_assignment(raw: str) -> logic.Assignment:
+# -- JSON output ---------------------------------------------------------------
+#
+# json writes its indented layout with its pure-Python recursive encoder.
+# _json_text writes the same text with its own stack: strings and keys go
+# through json's C encode_basestring_ascii, numbers through int.__repr__ and
+# float.__repr__, as json does them, and a container of at least _FLAT_MIN
+# items, none of them a container, is one call of json's compact C encoder
+# with the newline and indent in its item separator.
+
+_FLAT_MIN = 8
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    return _NONFINITE.get(text, text)
+
+
+# the text of a scalar of exactly one of these types
+_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__, float: _float_text,
+                bool: lambda value: "true" if value else "false",
+                type(None): lambda value: "null"}
+
+
+def _scalar_text(value) -> str:
+    """The text of a value that is no list, tuple or dict, its type tested
+    as json tests it."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return _SCALAR_TEXT[type(value)](value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+class _Level:
+    """The texts around the items of a container at one depth."""
+
+    __slots__ = ("newline", "separator", "list_start", "list_end", "dict_end", "keys")
+
+    def __init__(self, depth: int, indent: int):
+        outer, self.newline = "\n" + " " * (indent * depth), "\n" + " " * (indent * (depth + 1))
+        self.separator = "," + self.newline
+        self.list_start = "[" + self.newline
+        self.list_end = outer + "]"
+        self.dict_end = outer + "}"
+        self.keys: dict[str, str] = {}  # the separator, key and ": " of each str key
+
+    def key_prefix(self, key) -> str:
+        """What precedes the value of a dict item after the first."""
+        if isinstance(key, str):
+            text = encode_basestring_ascii(key)
+        elif isinstance(key, (int, float)) or key is None:  # bool is an int
+            text = encode_basestring_ascii(_scalar_text(key))
+        else:
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {key.__class__.__name__}")
+        text = f"{self.separator}{text}: "
+        if key.__class__ is str:
+            self.keys[key] = text
+        return text
+
+
+@functools.lru_cache(maxsize=64)
+def _flat_encoder(separator: str) -> json.JSONEncoder:
+    return json.JSONEncoder(sort_keys=True, separators=(separator, ": "))
+
+
+def _json_text(obj, indent: int = 2) -> str:
+    """``json.dumps(obj, indent=indent, sort_keys=True)``, byte for byte,
+    for an ``indent`` >= 0; nesting depth is not limited."""
+    out: list[str] = []
+    levels: list[_Level] = []  # by depth
+    stack: list = []  # the items, closing text and id of each open container
+    open_ids: set[int] = set()
+    items, close, marker = iter((("", obj),)), "", None
+    while True:
+        for prefix, value in items:
+            out.append(prefix)
+            scalar = _SCALAR_TEXT.get(value.__class__)
+            if scalar is not None:
+                out.append(scalar(value))
+                continue
+            if not isinstance(value, (list, tuple, dict)):
+                out.append(_scalar_text(value))
+                continue
+            is_dict = isinstance(value, dict)
+            if not value:
+                out.append("{}" if is_dict else "[]")
+                continue
+            depth = len(stack)
+            if depth == len(levels):
+                levels.append(_Level(depth, indent))
+            level = levels[depth]
+            end = level.dict_end if is_dict else level.list_end
+            if len(value) >= _FLAT_MIN and all(
+                    v.__class__ in _SCALAR_TEXT for v in (value.values() if is_dict else value)):
+                text = _flat_encoder(level.separator).encode(value)
+                out.append(f"{text[0]}{level.newline}{text[1:-1]}{end}")
+                continue
+            if id(value) in open_ids:
+                raise ValueError("Circular reference detected")
+            stack.append((items, close, marker))
+            marker = id(value)
+            open_ids.add(marker)
+            if is_dict:
+                names = sorted(value)
+                keys = level.keys
+                try:
+                    prefixes = [keys[k] for k in names]
+                except KeyError:
+                    prefixes = [keys.get(k) or level.key_prefix(k) for k in names]
+                prefixes[0] = "{" + prefixes[0][1:]
+                value = [value[k] for k in names]
+            else:
+                prefixes = [level.separator] * len(value)
+                prefixes[0] = level.list_start
+            items, close = zip(prefixes, value), end
+            break
+        else:
+            if not stack:
+                return "".join(out)
+            out.append(close)
+            open_ids.discard(marker)
+            items, close, marker = stack.pop()
+
+
+def _parse_assignment(raw: str, h: framework.HAFS) -> logic.Assignment:
+    """The ``--assignment`` text as an assignment keyed by the ids of
+    ``h``; a key that names no element of ``h`` gets an id of its own."""
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -126,13 +259,17 @@ def _parse_assignment(raw: str) -> logic.Assignment:
     if not isinstance(data, dict):
         raise _UsageError("--assignment must be a JSON object")
     values = {}
+    own = {x.qualified: x for x in h.universe}
+    rationals: dict[str, Fraction] = {}  # each text read once: values repeat
     for key, value in data.items():
-        element = framework.ElementId.from_qualified(key)
+        element = own.get(key) or framework.ElementId.from_qualified(key)
         if isinstance(value, str):
-            try:
-                values[element] = Fraction(value)
-            except (ValueError, ZeroDivisionError):
-                raise _UsageError(f"cannot read {value!r} as a rational") from None
+            if value not in rationals:
+                try:
+                    rationals[value] = Fraction(value)
+                except (ValueError, ZeroDivisionError):
+                    raise _UsageError(f"cannot read {value!r} as a rational") from None
+            values[element] = rationals[value]
         elif isinstance(value, bool):
             raise _UsageError(f"boolean value for {key!r}")
         elif isinstance(value, int):
@@ -185,7 +322,7 @@ def _cmd_encode(opts, stdin, stdout) -> int:
 def _cmd_eval(opts, stdin, stdout) -> int:
     h = _read_framework(opts.input, stdin)
     system = logic.get_logic(opts.logic)
-    assignment = _parse_assignment(opts.assignment)
+    assignment = _parse_assignment(opts.assignment, h)
     value = logic.evaluate(logic.encode_normal(h), assignment, system)
     _emit_json(stdout, {
         "logic": system.name,

@@ -320,14 +320,21 @@ def solve_fixed_point(system: EquationSystem, damping: float = 0.5,
     else:
         runs = _run_batched(batched, apply, starts, damping, tolerance, max_iter)
 
+    # a converged run within ten tolerances (max norm) of an earlier kept one
+    # is dropped: each kept row, in start order, drops the later rows near it
+    converged = [i for i, run in enumerate(runs) if run[3] == "tolerance"]
+    rows = np.array([runs[i][0] for i in converged], dtype=float).reshape(len(converged), n)
+    dropped = np.zeros(len(converged), dtype=bool)
+    for k in range(len(converged)):
+        if not dropped[k]:
+            # 0 when n = 0, so an empty framework keeps its first run only
+            dropped[k + 1:] |= np.abs(rows[k + 1:] - rows[k]).max(axis=1, initial=0.0) \
+                <= 10 * tolerance
+    skip = {converged[k] for k in np.flatnonzero(dropped).tolist()}
     reports: list[SolveReport] = []
-    kept: list[list[float]] = []
     for start_index, (x, gap, iterations, stop_reason) in enumerate(runs):
-        converged = stop_reason == "tolerance"
-        if converged and any(_max_gap(x, prev) <= 10 * tolerance for prev in kept):
+        if start_index in skip:
             continue
-        if converged:
-            kept.append(x)
         reports.append(SolveReport(
             solution=Assignment({e: x[i] for i, e in enumerate(order)}),
             residual=gap,

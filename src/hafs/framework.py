@@ -27,12 +27,19 @@ the end of the text, placed just after the last token); then duplicate
 names; then dangling and self references.  The last two are found in
 statement order and placed at the statement's head.
 
+A framework is built on one path, with each rule checked once.
+``HAFS(...)`` checks the ids it is given (kinds, unique names, declared
+endpoints); ``parse`` checks the names of a text instead, with positions,
+and builds its ids and relations without re-checking what the statement
+pattern has matched.  Both hand the sorted universe and the endpoint
+positions to ``HAFS._link``, which checks duplicate pairs and definitional
+cycles and builds the incidence.
+
 Every semantics reads the same structure: each element's incoming attacks
 (attacker, attack) and supports (supporter, support).  ``HAFS.incidence``
-holds it once per framework as integer positions into ``universe``, built
-by the walk that validates the relations; the encoding, the equations, the
-labelling sweep, the extension search, the fixed-point solver and the
-support-cycle check all read that one view.
+holds it once per framework as integer positions into ``universe``; the
+encoding, the equations, the labelling sweep, the extension search, the
+fixed-point solver and the support-cycle check all read that one view.
 """
 
 from __future__ import annotations
@@ -77,8 +84,8 @@ class ElementId:
             raise ValidationError(f"invalid element name {self.name!r}")
         # the dataclass hash and the sort key, computed once: ids key every
         # map and set, and every sort of a framework reads the key
-        object.__setattr__(self, "_hash", hash((self.kind, self.name)))
-        object.__setattr__(self, "_key", (_KIND_ORDER[self.kind], self.name))
+        self.__dict__.update(_hash=hash((self.kind, self.name)),
+                             _key=(_KIND_ORDER[self.kind], self.name))
 
     def __hash__(self) -> int:
         return self._hash
@@ -180,10 +187,13 @@ class HAFS:
     * the relation-reference graph is acyclic, so every relation grounds
       out in arguments.
 
-    One walk over the id-sorted relations checks the endpoints and pairs
-    and builds ``incidence``, the only stored copy of each element's
-    incoming and outgoing pairs; ``attackers_of`` and ``supporters_of``
-    read them back as ids.
+    ``HAFS(...)`` checks the ids it is given: kinds, names and endpoints.
+    :func:`parse` checks the names of a text, and both then hand the
+    sorted universe and each relation's endpoint positions to
+    :meth:`_link`, which checks the pairs and the cycles and builds
+    ``incidence``, the only stored copy of each element's incoming and
+    outgoing pairs; ``attackers_of`` and ``supporters_of`` read them back
+    as ids.
 
     Iteration order over the universe is always sorted (arguments, then
     attacks, then supports, each alphabetically), so derived output is
@@ -217,45 +227,69 @@ class HAFS:
                 raise ValidationError(f"duplicate name {eid.name!r}")
             seen_names.add(eid.name)
 
+        position = {x: i for i, x in enumerate(universe)}
+        ends: list[tuple[int, int]] = []
+        undeclared = None
+        for rel in atts + supps:
+            c, x = position.get(rel.source), position.get(rel.target)
+            if c is None or x is None:
+                endpoint = rel.source if c is None else rel.target
+                undeclared = ValidationError(f"{rel.id} references undeclared element {endpoint}")
+                break
+            ends.append((c, x))
+        self._link(args, atts, supps, universe, position, ends, undeclared)
+
+    def _link(self, args: tuple, atts: tuple, supps: tuple, universe: tuple,
+              position: dict, ends: list, undeclared: ValidationError | None) -> None:
+        """Check the relations and build ``incidence``: the one path of
+        ``HAFS(...)`` and :func:`parse` once each has checked its input.
+
+        ``universe`` is sorted and lists the attacks, then the supports, in
+        the order of ``atts`` and ``supps``; ``ends`` holds the (source,
+        target) positions of those relations in that order, up to the
+        first one with an undeclared endpoint, whose error is
+        ``undeclared``.  The checks come in the order of the relations:
+        the attacks, then the supports, each for a duplicate pair of its
+        kind, and the undeclared endpoint where ``ends`` stops; then a
+        definitional cycle.
+        """
+        # each element's pairs, extended as tuples: most elements have none
+        # or a few, and the tuples are what ``incidence`` keeps
+        first, split = len(args), len(args) + len(atts)
+        attack_pairs: list[tuple] = [()] * len(universe)
+        support_pairs: list[tuple] = [()] * len(universe)
+        outgoing: list[tuple] = [()] * len(universe)
+        pairs: set[tuple[int, int, bool]] = set()  # (source, target, is a support)
+        # relation position -> its endpoints that are relations; these
+        # references must form a DAG, checked once every pair has passed
+        refs: dict[int, list[int]] = {}
+        for r, (c, x) in enumerate(ends, first):
+            support = r >= split
+            if (c, x, support) in pairs:
+                raise ValidationError(f"duplicate {'supp' if support else 'att'} with source "
+                                      f"{universe[c]} and target {universe[x]}")
+            pairs.add((c, x, support))
+            if support:
+                support_pairs[x] += ((c, r),)
+                outgoing[c] += ((x, r),)
+            else:
+                attack_pairs[x] += ((c, r),)
+            if c >= first or x >= first:
+                refs[r] = [e for e in (c, x) if e >= first]
+        if undeclared is not None:
+            raise undeclared
+
+        # a relation without relation endpoints closes no cycle, so the search
+        # starts from the others only
+        node = _cycle_node(refs, lambda r: refs.get(r, ()))
+        if node is not None:
+            raise ValidationError(f"definitional cycle among relations involving {universe[node]}")
         self.arguments = args
         self.attacks = atts
         self.supports = supps
         self.universe = universe
-
-        # one walk over the id-sorted relations: the universe lists each
-        # kind's relations in that order, so a relation's position is its
-        # index plus an offset
-        position = {x: i for i, x in enumerate(universe)}
-        attack_pairs: list[list[tuple[int, int]]] = [[] for _ in universe]
-        support_pairs: list[list[tuple[int, int]]] = [[] for _ in universe]
-        outgoing: list[list[tuple[int, int]]] = [[] for _ in universe]
-        # relation position -> its endpoints that are relations; these
-        # references must form a DAG, checked once every pair has passed
-        refs: dict[int, list[int]] = {}
-        for relations, first, incoming in ((atts, len(args), attack_pairs),
-                                           (supps, len(args) + len(atts), support_pairs)):
-            pairs: set[tuple[int, int]] = set()
-            for r, rel in enumerate(relations, first):
-                for endpoint in (rel.source, rel.target):
-                    if endpoint not in position:
-                        raise ValidationError(f"{rel.id} references undeclared element {endpoint}")
-                key = c, x = position[rel.source], position[rel.target]
-                if key in pairs:
-                    raise ValidationError(
-                        f"duplicate {rel.kind.value} with source {rel.source} and target {rel.target}"
-                    )
-                pairs.add(key)
-                incoming[x].append((c, r))
-                if incoming is support_pairs:
-                    outgoing[c].append((x, r))
-                refs[r] = [e for e in key if e >= len(args)]
-
-        node = _cycle_node(refs, refs.__getitem__)
-        if node is not None:
-            raise ValidationError(f"definitional cycle among relations involving {universe[node]}")
-        self.incidence = Incidence(
-            position, tuple(zip(map(tuple, attack_pairs), map(tuple, support_pairs))),
-            tuple(map(tuple, outgoing)))
+        self.incidence = Incidence(position, tuple(zip(attack_pairs, support_pairs)),
+                                   tuple(outgoing))
 
     # -- lookups ---------------------------------------------------------
 
@@ -294,7 +328,7 @@ class HAFS:
 
 @dataclass(frozen=True, eq=False)
 class Incidence:
-    """Integer-indexed incidence of a framework, built by ``HAFS.__init__``.
+    """Integer-indexed incidence of a framework, built by ``HAFS._link``.
 
     ``position[x]`` is the index of ``x`` in ``universe``.  For each
     position ``i``, ``incoming[i]`` is the pair (attack pairs, support
@@ -327,7 +361,6 @@ _LEXEMES = re.compile(rf"(?:\s|%[^\n]*|[(),.]|{_NAME})*")
 _TOKEN = re.compile(rf"%[^\n]*|([(),.]|{_NAME})")
 # the tokens after a head, ``N`` standing for a name
 _SHAPES = {"arg": "(N).", "att": "(N,N,N).", "supp": "(N,N,N)."}
-_KINDS = {kind.value: kind for kind in Kind}
 
 
 def _position(text: str, offset: int) -> tuple[int, int]:
@@ -381,28 +414,54 @@ def parse(text: str) -> HAFS:
         line, column = _position(text, m.start(1))
         return ValidationError(f"{line}:{column}: {message}")
 
-    declared: dict[str, ElementId] = {}
+    declared: dict[str, re.Match] = {}
+    names: dict[str, list[str]] = {"arg": [], "att": [], "supp": []}
     for m in statements:
-        head, _, name, _, _ = m.groups()
+        name = m[3]
         if name in declared:
             raise invalid(m, f"duplicate name {name!r}")
-        declared[name] = ElementId(_KINDS[head], name)
+        declared[name] = m
+        names[m[1]].append(name)
 
-    args, atts, supps = [], [], []
-    for m in statements:
-        _, relation, name, src, tgt = m.groups()
-        eid = declared[name]
-        if relation is None:
-            args.append(eid)
-            continue
-        for ref in (src, tgt):
-            if ref not in declared:
-                raise invalid(m, f"dangling reference {ref!r}")
-        source, target = declared[src], declared[tgt]
-        if source is eid or target is eid:
-            raise invalid(m, f"relation {name!r} references itself")
-        (atts if relation == "att" else supps).append(Relation(eid, source, target))
-    return HAFS(args, atts, supps)
+    # the universe, sorted: within a kind, ids sort by name; the pattern has
+    # matched every name, so the ids are built without the name check
+    universe: list[ElementId] = []
+    for kind in Kind:
+        order, names[kind.value] = _KIND_ORDER[kind], sorted(names[kind.value])
+        for name in names[kind.value]:
+            eid = object.__new__(ElementId)
+            eid.__dict__.update(kind=kind, name=name, _hash=hash((kind, name)),
+                                _key=(order, name))
+            universe.append(eid)
+    first = len(names["arg"])
+    at = dict(zip(names["arg"] + names["att"] + names["supp"], range(len(universe))))
+    try:
+        ends = [(at[m[4]], at[m[5]]) for m in map(declared.__getitem__,
+                                                  names["att"] + names["supp"])]
+    except KeyError:
+        ends = None
+    if ends is None or any(r in key for r, key in enumerate(ends, first)):
+        # a dangling or self reference: name the first in statement order
+        for m in statements:
+            _, relation, name, src, tgt = m.groups()
+            if relation is None:
+                continue
+            for ref in (src, tgt):
+                if ref not in declared:
+                    raise invalid(m, f"dangling reference {ref!r}")
+            if name in (src, tgt):
+                raise invalid(m, f"relation {name!r} references itself")
+
+    relations = []
+    for r, (c, x) in enumerate(ends, first):
+        rel = object.__new__(Relation)
+        rel.__dict__.update(id=universe[r], source=universe[c], target=universe[x])
+        relations.append(rel)
+    split = len(names["att"])
+    h = HAFS.__new__(HAFS)
+    h._link(tuple(universe[:first]), tuple(relations[:split]), tuple(relations[split:]),
+            tuple(universe), dict(zip(universe, range(len(universe)))), ends, None)
+    return h
 
 
 def serialize(h: HAFS) -> str:
@@ -418,20 +477,22 @@ def serialize(h: HAFS) -> str:
 
 def _cycle_node(nodes, successors):
     """A node closing a directed cycle, by iterative depth-first search
-    from each node in turn; None when the graph is acyclic."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour = dict.fromkeys(nodes, WHITE)
-    for start in colour:
-        if colour[start] != WHITE:
+    from each node of ``nodes`` in turn; None when the graph is acyclic.
+    A node reached that is not in ``nodes`` is searched like the others."""
+    GREY, BLACK = 1, 2
+    colour: dict = {}  # a node not in it is unvisited
+    for start in nodes:
+        if start in colour:
             continue
         stack = [(start, iter(successors(start)))]
         colour[start] = GREY
         while stack:
             node, it = stack[-1]
             for nxt in it:
-                if colour[nxt] == GREY:
+                seen = colour.get(nxt)
+                if seen == GREY:
                     return nxt
-                if colour[nxt] == WHITE:
+                if seen is None:
                     colour[nxt] = GREY
                     stack.append((nxt, iter(successors(nxt))))
                     break

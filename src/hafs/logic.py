@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .errors import EvaluationError, ValidationError
-from .framework import HAFS, ElementId
+from .framework import _ID_KEY, HAFS, ElementId
 
 # -- formulas ---------------------------------------------------------------
 
@@ -219,13 +219,18 @@ class Assignment(Mapping):
     def __init__(self, values: Mapping[ElementId, object] | Iterable[tuple[ElementId, object]]):
         items = values.items() if isinstance(values, Mapping) else values
         store = {key: self._coerce(key, raw) for key, raw in items}
-        self._values = dict(sorted(store.items()))
-        self._hash = hash(tuple(self._values.items()))
+        self._values = {key: store[key] for key in sorted(store, key=_ID_KEY)}
+        self._hash = None  # computed when first asked for
 
     @staticmethod
     def _coerce(key: ElementId, raw) -> object:
-        value = raw if isinstance(raw, float) or type(raw) is Fraction else Fraction(raw)
-        if not 0 <= value <= 1:
+        if isinstance(raw, float):
+            inside = 0 <= raw <= 1
+            value = raw
+        else:
+            value = raw if type(raw) is Fraction else Fraction(raw)
+            inside = 0 <= value.numerator <= value.denominator  # the denominator is positive
+        if not inside:
             raise ValidationError(f"value {raw!r} for {key} is outside [0, 1]")
         return value
 
@@ -250,6 +255,8 @@ class Assignment(Mapping):
         return NotImplemented
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(tuple(self._values.items()))
         return self._hash
 
     def __repr__(self) -> str:

@@ -2,8 +2,10 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hafs.cli import run
+from hafs import ElementId, parse
+from hafs.cli import _json_text, _parse_assignment, run
 
 
 def invoke(argv, stdin_text=""):
@@ -267,3 +269,144 @@ class TestHarness:
             _, first, _ = invoke(argv)
             _, second, _ = invoke(argv)
             assert first == second, argv
+
+
+class FloatSub(float):
+    def __repr__(self):
+        return "not the float"
+
+
+class IntSub(int):
+    def __repr__(self):
+        return "not the int"
+
+
+# quote, backslash, control, non-ASCII, line-separator and lone-surrogate
+# characters, mixed into arbitrary text
+TRICKY = ('"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "/", "\u00e9", "\u2028", "\ud800",
+          "\U0001f600")
+STRINGS = st.text(st.one_of(st.sampled_from(TRICKY), st.characters()), max_size=6)
+FLOATS = st.one_of(st.floats(), st.floats().map(FloatSub),
+                   st.sampled_from((1e-22, -0.0, float("nan"), float("inf"), -float("inf"),
+                                    1e16, 0.1, 5e-324)))
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.integers().map(IntSub), FLOATS,
+                    STRINGS)
+
+
+def containers(children):
+    # up to 10 items, so that containers of _FLAT_MIN scalars come up; one key
+    # type per dict, since json sorts the keys
+    items = st.lists(children, max_size=10)
+    return st.one_of(items, items.map(tuple), st.dictionaries(STRINGS, children, max_size=10),
+                     st.dictionaries(st.integers(), children, max_size=4),
+                     st.dictionaries(st.floats(), children, max_size=4),
+                     st.dictionaries(st.booleans(), children, max_size=2),
+                     st.dictionaries(st.none(), children, max_size=1))
+
+
+JSON_VALUES = st.recursive(SCALARS, containers, max_leaves=40)
+
+
+def nested(depth: int):
+    """Lists and one-key dicts in turn, ``depth`` deep, around ``[]``."""
+    value: object = []
+    for i in range(depth):
+        value = [value] if i % 2 else {"k": value}
+    return value
+
+
+class TestJsonText:
+    """``_json_text`` against ``json.dumps(indent=..., sort_keys=True)``."""
+
+    @settings(max_examples=400)
+    @given(JSON_VALUES, st.sampled_from((2, 0, 3)))
+    def test_generated_values(self, value, indent):
+        assert _json_text(value, indent) == json.dumps(value, indent=indent, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [
+        {}, [], (), [{}, [], ()], {"a": {}, "b": []},
+        [float("nan"), float("inf"), -float("inf"), -0.0, 1e-22, FloatSub(0.5), IntSub(3),
+         True, False, None, "\"\u00e9\n", 10 ** 30],
+        {f"k{i}\u2028\"": i / 7 for i in range(12)},
+        {"flat": list(range(20)), "nested": [list(range(8)), {"x": tuple("abcdefgh")}]},
+        {1.5: 0, 2.25: 1}, {None: [1, 2]}, {True: [1] * 9, False: {}},
+        {i: str(i) for i in range(-3, 10)}, {i * 1.5: [i] * 8 for i in range(9)},
+        {i / 3: i for i in range(-2, 9)}, {i / 3: None for i in range(-2, 9)},
+    ])
+    def test_fixed_values(self, value):
+        assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [{"a": 1, 2: 3}, {(1,): 2}, [object()], {"a": {1, 2}},
+                                       [[0] * 9, b"bytes"]])
+    def test_same_error(self, value):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(value, indent=2, sort_keys=True)
+        with pytest.raises(TypeError) as got:
+            _json_text(value)
+        assert str(got.value) == str(expected.value)
+
+    def test_circular_reference(self):
+        shared = [1, 2]
+        value = {"a": shared, "b": [shared, {"c": shared}]}
+        assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+        value["b"][1]["c"] = value
+        for circular in (value, [0, value], (lambda x: x.append(x) or x)([[]])):
+            with pytest.raises(ValueError) as expected:
+                json.dumps(circular, indent=2, sort_keys=True)
+            with pytest.raises(ValueError) as got:
+                _json_text(circular)
+            assert str(got.value) == str(expected.value)
+
+    def test_moderate_depth_matches_json(self):
+        value = nested(150)
+        assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_deep_nesting_without_recursion(self):
+        # with indent 2 the text of 100 000 levels would be about 10^10
+        # characters, so the deep run writes with indent 0
+        depth = 100_000
+        expected = "".join("[\n" if i % 2 else '{\n"k": ' for i in reversed(range(depth)))
+        expected += "[]" + "".join("\n]" if i % 2 else "\n}" for i in range(depth))
+        assert _json_text(nested(depth), 0) == expected
+
+
+class TestParseAssignment:
+    TEXT = "arg(a). arg(b). att(r1,a,b). supp(t1,b,r1)."
+
+    def test_keys_are_the_frameworks_own_ids(self):
+        h = parse(self.TEXT)
+        raw = json.dumps({x.qualified: "1/2" for x in reversed(h.universe)})
+        assignment = _parse_assignment(raw, h)
+        assert list(assignment) == list(h.universe)
+        assert all(a is b for a, b in zip(assignment, h.universe))
+
+    def test_absent_key_gets_its_own_id(self):
+        # arg:r1 is a valid id, but r1 is an attack: the key names no element
+        h = parse(self.TEXT)
+        assignment = _parse_assignment('{"arg:r1": "1", "att:r1": 0.5}', h)
+        absent = ElementId.from_qualified("arg:r1")
+        assert absent not in h and assignment[absent] == 1
+        assert next(k for k in assignment if k.name == "r1" and k.kind.value == "att") \
+            is h.universe[2]
+        # an extra key changes nothing
+        full = '"arg:a": "1", "arg:b": "0", "att:r1": "1/2", "supp:t1": "1"'
+        runs = [invoke(["eval", "-", "--assignment", "{" + keys + "}"], self.TEXT)
+                for keys in (full, '"arg:r1": "1", ' + full)]
+        assert runs[0] == runs[1] and runs[0][0] == 0
+
+    @pytest.mark.parametrize("assignment, message", [
+        ('{"nope:a": "1", "arg:a": true}',
+         "invalid qualified id 'nope:a' (want arg:/att:/supp: prefix)"),
+        ('{"arg:a": true, "nope:a": "1"}', "boolean value for 'arg:a'"),
+        ('{"arg:1a": "1"}', "invalid element name '1a'"),
+        ('{"arg": "1"}', "invalid element name ''"),
+        ('{"arg:a": "x/2", "arg:1a": 1}', "cannot read 'x/2' as a rational"),
+        ('{"arg:a": "1/0"}', "cannot read '1/0' as a rational"),
+        ('{"arg:a": [1]}', "unsupported value [1] for 'arg:a'"),
+        ('{"arg:a": "3/2"}', "value Fraction(3, 2) for arg:a is outside [0, 1]"),
+        ('{"arg:a": -0.5}', "value -0.5 for arg:a is outside [0, 1]"),
+        ('{"arg:a": "1", "arg:b": "1"}', "variable att:r1 is unassigned"),
+    ])
+    def test_errors_keep_message_exit_code_and_order(self, assignment, message):
+        code, out, err = invoke(["eval", "-", "--assignment", assignment], self.TEXT)
+        assert (code, out, err) == (2, "", f"hafs: error: {message}\n")

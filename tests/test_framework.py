@@ -239,6 +239,47 @@ class TestParseAgainstOracle:
         assert json.loads(done.stdout) == expected
 
 
+class TestOneConstructionPath:
+    """``parse`` builds its ids and relations without the constructors'
+    checks; the framework must be the one ``HAFS(...)`` builds from
+    checked ids."""
+
+    def test_parse_matches_the_constructor(self):
+        import pickle
+        for i, (h, _) in enumerate(corpus(120, seed_base=5200)):
+            parsed = parse(noisy_text(h, random.Random(i)))
+            fresh = {x: ElementId(x.kind, x.name) for x in h.universe}
+            built = HAFS([fresh[a] for a in h.arguments],
+                         [Relation(fresh[r.id], fresh[r.source], fresh[r.target])
+                          for r in h.attacks],
+                         [Relation(fresh[t.id], fresh[t.source], fresh[t.target])
+                          for t in h.supports])
+            assert parsed == built and hash(parsed) == hash(built)
+            assert parsed.incidence.incoming == built.incidence.incoming
+            assert parsed.incidence.outgoing_supports == built.incidence.outgoing_supports
+            assert parsed.incidence.position == built.incidence.position
+            assert list(parsed.incidence.position.items()) == \
+                [(x, i) for i, x in enumerate(parsed.universe)]
+            for x, y in zip(parsed.universe, built.universe):
+                assert x == y and hash(x) == hash(y) and vars(x) == vars(y)
+                assert not x < y and not y < x
+                copy = pickle.loads(pickle.dumps(x))
+                assert copy == x and hash(copy) == hash(x)
+            assert sorted(reversed(parsed.universe)) == list(parsed.universe)
+            for a, b in zip(parsed.attacks + parsed.supports, built.attacks + built.supports):
+                assert a == b and vars(a) == vars(b)
+                assert a.id is parsed.universe[parsed.incidence.position[a.id]]
+                assert a.source is parsed.universe[parsed.incidence.position[a.source]]
+            again = pickle.loads(pickle.dumps(parsed))
+            assert again == parsed and again.incidence.incoming == parsed.incidence.incoming
+
+    def test_relation_ids_are_the_universe_ids(self):
+        h = parse("supp(t1,r1,a). att(r1,b,a). arg(b). arg(a).")
+        a, b, r1, t1 = h.universe
+        assert h.attacks[0].id is r1 and h.attacks[0].source is b and h.attacks[0].target is a
+        assert h.supports[0].id is t1 and h.supports[0].source is r1
+
+
 class TestSerialize:
     def test_canonical_order(self):
         h = parse("supp(t1,a,a). arg(b). arg(a). att(r1,b,a).")
