@@ -162,9 +162,11 @@ class _Inputs:
     CORR_G), the complete extensions (T1, T2), the encoded formula
     (T_PL3, EQ_*), the equation system per logic, and per logic its
     fixed-point reports and exact ternary solutions (T16 and CORR_G under
-    Gödel).  The EQ_* ids in ``theorem_ids`` share their grid: the first
-    of them to run tests each drawn chunk, and the float samples, under
-    all of them (:func:`_check_equation_equivalence`).  Only an input
+    Gödel).  The EQ_* ids in ``theorem_ids`` share one sweep of their
+    grid: the first of them to run tests every row, exhaustive or drawn,
+    and the float samples, under all of them, and drops a row once every
+    side of each logic still running has failed on it
+    (:func:`_check_equation_equivalence`).  Only an input
     that both checks read from the same view is shared, never one side of
     a cross-check for the other: extensions against labellings, PL3
     models against labellings, the formula against the equations and
@@ -295,16 +297,18 @@ def _grid_verdicts(formulas, elements, logic: LogicSystem, view: Incidence, posi
             _solution_mask(view, elements, logic, columns, one))
 
 
-def _level_check(formula: Formula, system: EquationSystem):
+def _level_check(formula: Formula, view: Incidence, logics: dict, stopped):
     """(levels, check) for :func:`_frontier`: the conjuncts and the element
     positions by level, each with the positions it reads and its side (0 for
-    a conjunct, 1 for an equation), and their (rows, 2) model and solution verdicts.
+    a conjunct, 1 for an equation), and their (rows, 2 * len(logics))
+    verdicts, the model and the solution column of each logic of ``logics``
+    (id to logic) in turn.  A logic whose id is in ``stopped`` when a check
+    runs is not evaluated: both its columns read False.
 
     A check gathers only the columns that the items it tests read, so a
     sampled chunk, tested level by level, pays about one gather per
     element and two per relation, not one per column up to each level.
     """
-    view = system.framework.incidence
     items = [({view.position[e] for e in variables(f)}, 0, f) for f in _conjuncts(formula)]
     items += [({a}.union(*attacks, *supports), 1, a)
               for a, (attacks, supports) in enumerate(view.incoming)]
@@ -314,22 +318,13 @@ def _level_check(formula: Formula, system: EquationSystem):
         fs = [x for _, side, x in items if side == 0]
         elements = [x for _, side, x in items if side == 1]
         positions = sorted(set().union(*(cols for cols, _, _ in items)))
-        return np.column_stack(_exact(_grid_verdicts, fs, elements, system.logic, view,
-                                      positions, codes))
+        verdicts = np.zeros((len(codes), 2 * len(logics)), dtype=bool)
+        for i, (t, logic) in enumerate(logics.items()):
+            if t not in stopped:
+                verdicts[:, 2 * i], verdicts[:, 2 * i + 1] = _exact(
+                    _grid_verdicts, fs, elements, logic, view, positions, codes)
+        return verdicts
     return levels, check
-
-
-def _exhaustive_verdicts(formula: Formula, system: EquationSystem):
-    """(codes, model, solution) chunks of the quarter-grid rows that are a
-    model or a solution, in grid order.
-
-    The formula side is tested conjunct by conjunct and the equation side
-    equation by equation; a partial row is dropped only once both sides
-    have failed on it, so every row on which the two disagree comes out.
-    """
-    levels, check = _level_check(formula, system)
-    for codes, alive in _frontier(len(system.universe), 5, 2, levels, check):
-        yield codes, alive[:, 0], alive[:, 1]
 
 
 def _draw_codes(rng: random.Random, count: int) -> np.ndarray:
@@ -345,9 +340,9 @@ def _draw_codes(rng: random.Random, count: int) -> np.ndarray:
     """
     batches, missing = [np.zeros(0, dtype=np.int8)], count
     while missing:
-        raw = rng.getrandbits(32 * missing).to_bytes(4 * missing, "little")
-        top = (np.frombuffer(raw, dtype="<u4") >> 29).astype(np.int8)
-        batches.append(top[top < 5])
+        top = (np.frombuffer(rng.getrandbits(32 * missing).to_bytes(4 * missing, "little"),
+                             dtype="<u4") >> 29).astype(np.int8)
+        batches.append(np.compress(top < 5, top))
         missing -= len(batches[-1])
     return np.concatenate(batches)
 
@@ -374,20 +369,20 @@ def _drawn_chunks(rng: random.Random, width: int, rows: int):
         yield _draw_codes(rng, count * width).reshape(count, width)
 
 
-def _sampled_verdicts(codes: np.ndarray, levels, check):
-    """(codes, model, solution) of the rows of a drawn chunk less those on
-    which both sides fail, in the order drawn, for the ``levels`` and
-    ``check`` of :func:`_level_check`.
+def _sampled_verdicts(codes: np.ndarray, sides: int, levels, check):
+    """(codes, alive) of the rows of a drawn chunk on which one of ``sides``
+    still holds, in the order drawn, for the ``levels`` and ``check`` of
+    :func:`_level_check`.
 
     The chunk is tested level by level, as the exhaustive sweep tests its
-    partial rows, and a row is dropped once both sides have failed on it.
+    partial rows, and a row is dropped once every side has failed on it.
     """
-    alive = np.ones((len(codes), 2), dtype=bool)
+    alive = np.ones((len(codes), sides), dtype=bool)
     for items in levels:
         if not len(codes):
             break
         codes, alive = _survivors(check, codes, alive, items)
-    return codes, alive[:, 0], alive[:, 1]
+    return codes, alive
 
 
 def _check_equation_equivalence(inputs: _Inputs, theorem_ids, grid_cap: int,
@@ -398,15 +393,20 @@ def _check_equation_equivalence(inputs: _Inputs, theorem_ids, grid_cap: int,
     Every id tests the same rows: the whole quarter grid when it has at
     most ``grid_cap`` rows, else ``grid_cap`` rows drawn from
     ``random.Random(seed)``, and then ``float_samples`` float points drawn
-    from the same generator.  Each drawn chunk is tested under every logic
-    that has not failed yet before the next is drawn, so only one chunk is
-    held; a logic stops at its first disagreement, the others go on.
+    from the same generator.  One sweep of the rows serves every id: each
+    row, partial or drawn, is tested under every logic that has not failed
+    yet, and is dropped once every side of each of them has failed on it.
+    A logic stops at its first disagreement and is not evaluated again;
+    the others go on.
     """
     h = inputs.h
     order = h.universe
     formula = inputs.formula()
     systems = {t: inputs.system(_EQ_LOGICS[t]) for t in theorem_ids}
     reports = {}
+    levels, check = _level_check(formula, h.incidence,
+                                 {t: system.logic for t, system in systems.items()}, reports)
+    sides = 2 * len(systems)
 
     def failed(t, explanation, assignment):
         reports[t] = VerificationReport(t, inputs.digest(), False, _counterexample(
@@ -424,18 +424,16 @@ def _check_equation_equivalence(inputs: _Inputs, theorem_ids, grid_cap: int,
     exhaustive = 5 ** len(order) <= grid_cap
     rng = random.Random(seed)
     if exhaustive:
-        for t in theorem_ids:
-            for chunk in _exhaustive_verdicts(formula, systems[t]):
-                test_grid(t, *chunk)
-                if t in reports:
-                    break
+        chunks = _frontier(len(order), 5, sides, levels, check)
     else:
-        checks = {t: _level_check(formula, systems[t]) for t in theorem_ids}
-        for codes in _drawn_chunks(rng, len(order), grid_cap):
-            for t in [t for t in theorem_ids if t not in reports]:
-                test_grid(t, *_sampled_verdicts(codes, *checks[t]))
-            if len(reports) == len(theorem_ids):
-                break
+        chunks = (_sampled_verdicts(codes, sides, levels, check)
+                  for codes in _drawn_chunks(rng, len(order), grid_cap))
+    for codes, alive in chunks:
+        for i, t in enumerate(systems):
+            if t not in reports:
+                test_grid(t, codes, alive[:, 2 * i], alive[:, 2 * i + 1])
+        if len(reports) == len(systems):
+            break
 
     left = [t for t in theorem_ids if t not in reports]
     if not left:

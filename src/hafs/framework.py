@@ -74,7 +74,8 @@ _RELATION_KEY = attrgetter("id._key")
 @total_ordering
 @dataclass(frozen=True)
 class ElementId:
-    """Reference to a universe member: an argument, attack or support."""
+    """Reference to a universe member: an argument, attack or support.
+    ``qualified`` is its id with the kind prefix, like ``att:r1``."""
 
     kind: Kind
     name: str
@@ -82,10 +83,12 @@ class ElementId:
     def __post_init__(self):
         if not _NAME_RE.fullmatch(self.name):
             raise ValidationError(f"invalid element name {self.name!r}")
-        # the dataclass hash and the sort key, computed once: ids key every
-        # map and set, and every sort of a framework reads the key
+        # the dataclass hash, the sort key and the qualified id, computed
+        # once: ids key every map and set, every sort of a framework reads
+        # the key, and every formula leaf and report prints the qualified id
         self.__dict__.update(_hash=hash((self.kind, self.name)),
-                             _key=(_KIND_ORDER[self.kind], self.name))
+                             _key=(_KIND_ORDER[self.kind], self.name),
+                             qualified=f"{self.kind.value}:{self.name}")
 
     def __hash__(self) -> int:
         return self._hash
@@ -96,10 +99,6 @@ class ElementId:
 
     def __lt__(self, other: "ElementId") -> bool:
         return self._key < other._key
-
-    @property
-    def qualified(self) -> str:
-        return f"{self.kind.value}:{self.name}"
 
     @classmethod
     def from_qualified(cls, text: str) -> "ElementId":
@@ -428,10 +427,11 @@ def parse(text: str) -> HAFS:
     universe: list[ElementId] = []
     for kind in Kind:
         order, names[kind.value] = _KIND_ORDER[kind], sorted(names[kind.value])
+        prefix = kind.value + ":"
         for name in names[kind.value]:
             eid = object.__new__(ElementId)
             eid.__dict__.update(kind=kind, name=name, _hash=hash((kind, name)),
-                                _key=(order, name))
+                                _key=(order, name), qualified=prefix + name)
             universe.append(eid)
     first = len(names["arg"])
     at = dict(zip(names["arg"] + names["att"] + names["supp"], range(len(universe))))

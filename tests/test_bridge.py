@@ -15,7 +15,7 @@ from hafs import (Assignment, GODEL, LUKASIEWICZ, PRODUCT, PreconditionError,
                   THEOREM_IDS, ValidationError, argument, build_equations, embed,
                   encode_normal, enumerate_pl3_models, evaluate, framework_digest,
                   is_model, support_id, ternarize, verify)
-from hafs import bridge, equations
+from hafs import bridge, equations, labellings
 from hafs.bridge import FLOAT_RESIDUAL_TOL, VerificationReport
 from hafs.cli import run
 from hafs.equations import (_IMPLICATIONS_4, _TNORMS_4, EquationSystem, _TooWide, _exact_ops,
@@ -457,11 +457,12 @@ class TestEquationOracle:
                 if model or solution:
                     expected.append((codes, model, solution))
             rng = random.Random(i)
-            levels, check = bridge._level_check(formula, system)
+            levels, check = bridge._level_check(formula, h.incidence,
+                                                {theorem_id: system.logic}, ())
             rows = [(tuple(codes), model, solution)
                     for drawn in bridge._drawn_chunks(rng, len(h), 700)
-                    for codes, model, solution in zip(*(
-                        a.tolist() for a in bridge._sampled_verdicts(drawn, levels, check)))]
+                    for codes, (model, solution) in zip(*(
+                        a.tolist() for a in bridge._sampled_verdicts(drawn, 2, levels, check)))]
             assert rows == expected, hafs.serialize(h)
             assert rng.getstate() == reference.getstate()
 
@@ -663,6 +664,56 @@ class TestSharedInputs:
                                             flipped_samples=frozenset([4]))], text
             checked += 1
         assert checked >= 3
+
+    def test_early_failure_of_one_eq_logic_leaves_the_others_alone_on_the_whole_grid(
+            self, monkeypatch):
+        # the exhaustive twin of the test above: EQ_G fails on its first
+        # ternary solution in grid order (and would again on a second, where
+        # there is one), EQ_L on a float sample; the attack cycles keep many
+        # rows alive past that solution, so with 4-row chunks the one sweep
+        # of the grid goes on after EQ_G's failing row, for EQ_P and EQ_L only
+        monkeypatch.setattr(labellings, "_FRONTIER_ROWS", 4)
+        for i, text in enumerate([
+                "arg(a). arg(b). att(r1,a,b). att(r2,b,a).",
+                "arg(a). arg(b). att(r1,a,b). att(r2,b,a). supp(t1,a,b).",
+                "arg(a). arg(b). arg(c). att(r1,a,b). att(r2,b,c). att(r3,c,a)."]):
+            h = hafs.parse(text)
+            solutions = equations.enumerate_ternary_solutions(build_equations(h, GODEL))
+            rows = [np.array([int(v * 4) for v in s.values()], dtype=np.int8)
+                    for s in solutions[:2]]
+            ids = ["EQ_G", "T1", "EQ_P", "EQ_L"]
+            options = ["--float-samples", "20", "--seed", str(i)]
+            calls = []
+            with monkeypatch.context() as patch:
+                self._invert(patch, {GODEL: [(row, True) for row in rows]}, {LUKASIEWICZ: 4})
+                expected = _single_id_calls(ids, text, options)
+                flipped = bridge._grid_verdicts
+
+                def spy(formulas, elements, logic, view, positions, codes, dtype):
+                    calls.append((logic, codes))
+                    return flipped(formulas, elements, logic, view, positions, codes, dtype)
+
+                patch.setattr(bridge, "_grid_verdicts", spy)
+                code, out, err = _one_call(ids, text, options)
+            assert (code, out, err) == expected, text
+            reports = json.loads(out)["reports"]
+            assert [r["passed"] for r in reports] == [False, True, True, False]
+            assert all(r["notes"].get("grid") in (None, "exhaustive") for r in reports)
+            oracle = {"float_samples": 20, "seed": i}
+            assert [reports[0], reports[2], reports[3]] == [
+                equation_equivalence_report("EQ_G", h, GODEL, **oracle, flipped=frozenset(
+                    tuple(row.tolist()) for row in rows)),
+                equation_equivalence_report("EQ_P", h, PRODUCT, **oracle),
+                equation_equivalence_report("EQ_L", h, LUKASIEWICZ, **oracle,
+                                            flipped_samples=frozenset([4]))], text
+            # one sweep: each chunk is tested under the three logics in turn
+            # up to the full-width chunk of EQ_G's failing row, and after it
+            # under EQ_P and EQ_L only
+            names = [logic.name for logic, _ in calls]
+            hit = next(j for j, (logic, codes) in enumerate(calls) if logic == GODEL
+                       and codes.shape[1] == len(h) and (codes == rows[0]).all(axis=1).any())
+            assert names[:hit + 3] == ["godel", "product", "lukasiewicz"] * (hit // 3 + 1), text
+            assert set(names[hit + 3:]) == {"product", "lukasiewicz"}, text
 
     @pytest.mark.parametrize("logic", ["godel", "product"])
     def test_each_shared_input_is_made_once(self, monkeypatch, logic):
