@@ -25,7 +25,7 @@ from .labellings import HALF, ONE, THREE_VALUES, ZERO, Labelling3, _by_level, _f
     _survivors, _three_valued, enumerate_adjacent_complete, is_adjacent_complete
 from .limits import DEFAULT_LABELLING_BOUND, check_universe
 from .logic import And, Assignment, Formula, GODEL, L3, LogicSystem, LUKASIEWICZ, PRODUCT, \
-    compile_evaluator, encode_normal, get_logic, variables
+    compile_evaluator, encode_normal, get_logic, value_to_json_obj, variables
 
 FLOAT_TERNARIZE_TOL = 1e-6
 FLOAT_RESIDUAL_TOL = 1e-12
@@ -361,12 +361,17 @@ def _draw_floats(rng: random.Random, count: int) -> np.ndarray:
     return ((words[:, 0] >> 5) * 67108864.0 + (words[:, 1] >> 6)) / 9007199254740992.0
 
 
-def _drawn_chunks(rng: random.Random, width: int, rows: int):
-    """``rows`` quarter-grid rows over ``width`` columns, drawn point-major
-    from ``rng`` as code chunks of at most ``_EQ_CHUNK_ROWS`` rows."""
+def _drawn_chunks(draw, rng: random.Random, width: int, rows: int):
+    """``rows`` rows over ``width`` columns, drawn point-major from ``rng``
+    by ``draw`` (:func:`_draw_codes` or :func:`_draw_floats`) in chunks of
+    at most ``_EQ_CHUNK_ROWS`` rows.
+
+    Both draws take whole 32-bit words in order, so the chunks hold the
+    values of one draw of all the rows and leave ``rng`` in its end state.
+    """
     for start in range(0, rows, _EQ_CHUNK_ROWS):
         count = min(_EQ_CHUNK_ROWS, rows - start)
-        yield _draw_codes(rng, count * width).reshape(count, width)
+        yield draw(rng, count * width).reshape(count, width)
 
 
 def _sampled_verdicts(codes: np.ndarray, sides: int, levels, check):
@@ -393,7 +398,8 @@ def _check_equation_equivalence(inputs: _Inputs, theorem_ids, grid_cap: int,
     Every id tests the same rows: the whole quarter grid when it has at
     most ``grid_cap`` rows, else ``grid_cap`` rows drawn from
     ``random.Random(seed)``, and then ``float_samples`` float points drawn
-    from the same generator.  One sweep of the rows serves every id: each
+    from the same generator, both drawn and tested in chunks of at most
+    ``_EQ_CHUNK_ROWS`` rows.  One sweep of the rows serves every id: each
     row, partial or drawn, is tested under every logic that has not failed
     yet, and is dropped once every side of each of them has failed on it.
     A logic stops at its first disagreement and is not evaluated again;
@@ -427,7 +433,7 @@ def _check_equation_equivalence(inputs: _Inputs, theorem_ids, grid_cap: int,
         chunks = _frontier(len(order), 5, sides, levels, check)
     else:
         chunks = (_sampled_verdicts(codes, sides, levels, check)
-                  for codes in _drawn_chunks(rng, len(order), grid_cap))
+                  for codes in _drawn_chunks(_draw_codes, rng, len(order), grid_cap))
     for codes, alive in chunks:
         for i, t in enumerate(systems):
             if t not in reports:
@@ -435,23 +441,30 @@ def _check_equation_equivalence(inputs: _Inputs, theorem_ids, grid_cap: int,
         if len(reports) == len(systems):
             break
 
-    left = [t for t in theorem_ids if t not in reports]
-    if not left:
+    if len(reports) == len(systems):
         return reports
     # drawn point-major, as a per-point loop would, continuing from the
-    # generator state the sampled grid leaves; each side in one array pass
-    draws = _draw_floats(rng, float_samples * len(order)).reshape(float_samples, len(order))
-    columns = {e: draws[:, j] for j, e in enumerate(order)}
-    for t in left:
-        models = compile_evaluator(formula, systems[t].logic)(columns) == 1.0
-        near_solutions = systems[t].residuals(draws) <= FLOAT_RESIDUAL_TOL
-        disagree = np.flatnonzero(models != near_solutions)
-        if disagree.size:
-            point = draws[disagree[0]].tolist()
-            failed(t, "float assignment verdicts disagree between the encoded "
-                      "formula and the equation residual",
-                   {e.qualified: float(f"{v:.12g}") for e, v in zip(order, point)})
-        else:
+    # generator state the sampled grid leaves; each side of a chunk in one
+    # array pass
+    evaluators = {t: compile_evaluator(formula, systems[t].logic)
+                  for t in systems if t not in reports}
+    for draws in _drawn_chunks(_draw_floats, rng, len(order), float_samples):
+        columns = {e: draws[:, j] for j, e in enumerate(order)}
+        for t, evaluator in evaluators.items():
+            if t in reports:
+                continue
+            models = evaluator(columns) == 1.0
+            near_solutions = systems[t].residuals(draws) <= FLOAT_RESIDUAL_TOL
+            disagree = np.flatnonzero(models != near_solutions)
+            if disagree.size:
+                failed(t, "float assignment verdicts disagree between the encoded "
+                          "formula and the equation residual",
+                       {e.qualified: value_to_json_obj(v)
+                        for e, v in zip(order, draws[disagree[0]].tolist())})
+        if len(reports) == len(systems):
+            return reports
+    for t in evaluators:
+        if t not in reports:
             reports[t] = VerificationReport(t, inputs.digest(), True, notes={
                 "grid": "exhaustive" if exhaustive else f"sampled({grid_cap})",
                 "float_samples": float_samples})

@@ -121,8 +121,9 @@ def _emit_json(stdout, obj) -> None:
 
 # -- JSON output ---------------------------------------------------------------
 #
-# json writes its indented layout with its pure-Python recursive encoder.
-# _json_text writes the same text with its own stack: strings and keys go
+# json writes its indented layout with its pure-Python encoder.  _json_text
+# writes the same text for the values the CLI prints: dicts with str keys,
+# lists, tuples and exact str, int, float, bool and None.  Strings and keys go
 # through json's C encode_basestring_ascii, numbers through int.__repr__ and
 # float.__repr__, as json does them, and a container of at least _FLAT_MIN
 # items, none of them a container, is one call of json's compact C encoder
@@ -143,110 +144,45 @@ _SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__, float: _float_t
                 type(None): lambda value: "null"}
 
 
-def _scalar_text(value) -> str:
-    """The text of a value that is no list, tuple or dict, its type tested
-    as json tests it."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None or value is True or value is False:
-        return _SCALAR_TEXT[type(value)](value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value)
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-
-
-class _Level:
-    """The texts around the items of a container at one depth."""
-
-    __slots__ = ("newline", "separator", "list_start", "list_end", "dict_end", "keys")
-
-    def __init__(self, depth: int, indent: int):
-        outer, self.newline = "\n" + " " * (indent * depth), "\n" + " " * (indent * (depth + 1))
-        self.separator = "," + self.newline
-        self.list_start = "[" + self.newline
-        self.list_end = outer + "]"
-        self.dict_end = outer + "}"
-        self.keys: dict[str, str] = {}  # the separator, key and ": " of each str key
-
-    def key_prefix(self, key) -> str:
-        """What precedes the value of a dict item after the first."""
-        if isinstance(key, str):
-            text = encode_basestring_ascii(key)
-        elif isinstance(key, (int, float)) or key is None:  # bool is an int
-            text = encode_basestring_ascii(_scalar_text(key))
-        else:
-            raise TypeError(f"keys must be str, int, float, bool or None, "
-                            f"not {key.__class__.__name__}")
-        text = f"{self.separator}{text}: "
-        if key.__class__ is str:
-            self.keys[key] = text
-        return text
-
-
 @functools.lru_cache(maxsize=64)
 def _flat_encoder(separator: str) -> json.JSONEncoder:
     return json.JSONEncoder(sort_keys=True, separators=(separator, ": "))
 
 
-def _json_text(obj, indent: int = 2) -> str:
-    """``json.dumps(obj, indent=indent, sort_keys=True)``, byte for byte,
-    for an ``indent`` >= 0; nesting depth is not limited."""
-    out: list[str] = []
-    levels: list[_Level] = []  # by depth
-    stack: list = []  # the items, closing text and id of each open container
-    open_ids: set[int] = set()
-    items, close, marker = iter((("", obj),)), "", None
-    while True:
-        for prefix, value in items:
-            out.append(prefix)
-            scalar = _SCALAR_TEXT.get(value.__class__)
-            if scalar is not None:
-                out.append(scalar(value))
-                continue
-            if not isinstance(value, (list, tuple, dict)):
-                out.append(_scalar_text(value))
-                continue
-            is_dict = isinstance(value, dict)
-            if not value:
-                out.append("{}" if is_dict else "[]")
-                continue
-            depth = len(stack)
-            if depth == len(levels):
-                levels.append(_Level(depth, indent))
-            level = levels[depth]
-            end = level.dict_end if is_dict else level.list_end
-            if len(value) >= _FLAT_MIN and all(
-                    v.__class__ in _SCALAR_TEXT for v in (value.values() if is_dict else value)):
-                text = _flat_encoder(level.separator).encode(value)
-                out.append(f"{text[0]}{level.newline}{text[1:-1]}{end}")
-                continue
-            if id(value) in open_ids:
-                raise ValueError("Circular reference detected")
-            stack.append((items, close, marker))
-            marker = id(value)
-            open_ids.add(marker)
-            if is_dict:
-                names = sorted(value)
-                keys = level.keys
-                try:
-                    prefixes = [keys[k] for k in names]
-                except KeyError:
-                    prefixes = [keys.get(k) or level.key_prefix(k) for k in names]
-                prefixes[0] = "{" + prefixes[0][1:]
-                value = [value[k] for k in names]
-            else:
-                prefixes = [level.separator] * len(value)
-                prefixes[0] = level.list_start
-            items, close = zip(prefixes, value), end
-            break
-        else:
-            if not stack:
-                return "".join(out)
-            out.append(close)
-            open_ids.discard(marker)
-            items, close, marker = stack.pop()
+def _json_text(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, for the
+    CLI's value types; any other type raises json's ``TypeError``."""
+    return _indented(obj, "\n")
+
+
+def _indented(value, newline: str) -> str:
+    """The text of ``value`` as :func:`_json_text` writes it, with
+    ``newline`` the line break and indent of the line it starts on.
+
+    It recurses once per nested container, and the CLI's outputs nest at
+    most 11 deep: ``encode``'s formula, whose paths have at most 7 nodes,
+    each node a dict and an ``and`` or ``or`` node also a list of its
+    children.  That is far under the recursion limit.
+    """
+    kind = value.__class__
+    scalar = _SCALAR_TEXT.get(kind)
+    if scalar is not None:
+        return scalar(value)
+    if kind not in (dict, list, tuple):
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    if not value:
+        return "{}" if kind is dict else "[]"
+    inner = newline + "  "
+    if len(value) >= _FLAT_MIN and all(
+            v.__class__ in _SCALAR_TEXT for v in (value.values() if kind is dict else value)):
+        text = _flat_encoder("," + inner).encode(value)
+        return f"{text[0]}{inner}{text[1:-1]}{newline}{text[-1]}"
+    if kind is dict:
+        items = ",".join([f"{inner}{encode_basestring_ascii(k)}: {_indented(value[k], inner)}"
+                          for k in sorted(value)])
+        return f"{{{items}{newline}}}"
+    items = ",".join([inner + _indented(v, inner) for v in value])
+    return f"[{items}{newline}]"
 
 
 def _parse_assignment(raw: str, h: framework.HAFS) -> logic.Assignment:
@@ -279,12 +215,6 @@ def _parse_assignment(raw: str, h: framework.HAFS) -> logic.Assignment:
         else:
             raise _UsageError(f"unsupported value {value!r} for {key!r}")
     return logic.Assignment(values)
-
-
-def _format_value(value) -> object:
-    if isinstance(value, float):
-        return float(f"{value:.12g}")
-    return str(Fraction(value))
 
 
 def _cmd_check(opts, stdin, stdout) -> int:
@@ -327,7 +257,7 @@ def _cmd_eval(opts, stdin, stdout) -> int:
     _emit_json(stdout, {
         "logic": system.name,
         "mode": "exact" if assignment.exact else "float",
-        "value": _format_value(value),
+        "value": logic.value_to_json_obj(value),
         "is_model": bool(value == 1),
     })
     return 0

@@ -25,7 +25,7 @@ from .labellings import _by_level, _three_valued
 from .limits import DEFAULT_TERNARY_BOUND, check_universe
 from .logic import (_TNORMS_F, Assignment, LogicSystem, _connectives, _fold, _impl_godel,
                     _impl_lukasiewicz, _standard_negation, _tnorm_lukasiewicz, _tnorm_min,
-                    _tnorm_product)
+                    _tnorm_product, value_to_json_obj)
 
 
 def h_function(logic: LogicSystem,
@@ -248,7 +248,7 @@ class SolveReport:
     def to_json_obj(self) -> dict:
         return {
             "solution": self.solution.to_json_obj(),
-            "residual": float(f"{self.residual:.12g}"),
+            "residual": value_to_json_obj(self.residual),
             "iterations": self.iterations,
             "restart_index": self.restart_index,
             "converged": self.converged,

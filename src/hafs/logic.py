@@ -207,6 +207,12 @@ def get_logic(name: str) -> LogicSystem:
 # -- assignments ------------------------------------------------------------
 
 
+def value_to_json_obj(value):
+    """A value as the JSON outputs write it: a float rounded to 12
+    significant digits, an exact value as its fraction text."""
+    return float(f"{value:.12g}") if isinstance(value, float) else str(value)
+
+
 class Assignment(Mapping):
     """Immutable map from elements to values in [0, 1].
 
@@ -264,10 +270,7 @@ class Assignment(Mapping):
         return f"{type(self).__name__}({{{inner}}})"
 
     def to_json_obj(self) -> dict[str, object]:
-        out: dict[str, object] = {}
-        for k, v in self._values.items():
-            out[k.qualified] = float(f"{v:.12g}") if isinstance(v, float) else str(v)
-        return out
+        return {k.qualified: value_to_json_obj(v) for k, v in self._values.items()}
 
 
 # -- evaluation --------------------------------------------------------------

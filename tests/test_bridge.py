@@ -460,7 +460,7 @@ class TestEquationOracle:
             levels, check = bridge._level_check(formula, h.incidence,
                                                 {theorem_id: system.logic}, ())
             rows = [(tuple(codes), model, solution)
-                    for drawn in bridge._drawn_chunks(rng, len(h), 700)
+                    for drawn in bridge._drawn_chunks(bridge._draw_codes, rng, len(h), 700)
                     for codes, (model, solution) in zip(*(
                         a.tolist() for a in bridge._sampled_verdicts(drawn, 2, levels, check)))]
             assert rows == expected, hafs.serialize(h)
@@ -714,6 +714,55 @@ class TestSharedInputs:
                        and codes.shape[1] == len(h) and (codes == rows[0]).all(axis=1).any())
             assert names[:hit + 3] == ["godel", "product", "lukasiewicz"] * (hit // 3 + 1), text
             assert set(names[hit + 3:]) == {"product", "lukasiewicz"}, text
+
+    def test_float_samples_are_drawn_and_tested_in_chunks(self, monkeypatch):
+        # with 3-row chunks, EQ_G fails on float sample 1 (first chunk), EQ_P
+        # on sample 7 (third chunk) and EQ_L on sample 4 (second chunk) or
+        # not at all: the reports equal the unchunked ones and the scalar
+        # oracle's, and no chunk is drawn once every logic has failed
+        residuals, draw_floats = EquationSystem.residuals, bridge._draw_floats
+        flipped, draws = {}, []
+
+        def inverted(system, points):
+            gaps = residuals(system, points)
+            if system.logic in flipped:
+                rows = (points == flipped[system.logic]).all(axis=1)
+                gaps[rows] = np.where(gaps[rows] <= FLOAT_RESIDUAL_TOL, 1.0, 0.0)
+            return gaps
+
+        def counted(rng, count):
+            draws.append(count)
+            return draw_floats(rng, count)
+
+        monkeypatch.setattr(EquationSystem, "residuals", inverted)
+        monkeypatch.setattr(bridge, "_draw_floats", counted)
+        ids = ["EQ_G", "EQ_P", "EQ_L"]
+        for i, (h, _) in enumerate(corpus(6, max_u=5, seed_base=16_400)):
+            text, n = hafs.serialize(h), len(h)
+            reference = random.Random(i)
+            if 5 ** n > 50:
+                [reference.randrange(5) for _ in range(50 * n)]
+            samples = np.array([[reference.random() for _ in range(n)] for _ in range(12)])
+            options = ["--grid-cap", "50", "--float-samples", "12", "--seed", str(i)]
+            for lukasiewicz in (None, 4):
+                flipped.clear()
+                flipped.update({GODEL: samples[1], PRODUCT: samples[7]})
+                if lukasiewicz is not None:
+                    flipped[LUKASIEWICZ] = samples[lukasiewicz]
+                whole = _one_call(ids, text, options)
+                with monkeypatch.context() as patch:
+                    patch.setattr(bridge, "_EQ_CHUNK_ROWS", 3)
+                    draws.clear()
+                    assert _one_call(ids, text, options) == whole, text
+                    assert draws == [3 * n] * (4 if lukasiewicz is None else 3)
+                reports = json.loads(whole[1])["reports"]
+                assert [r["passed"] for r in reports] == [False, False, lukasiewicz is None]
+                failing = {"EQ_G": {1}, "EQ_P": {7}, "EQ_L": {lukasiewicz} - {None}}
+                assert reports == [
+                    equation_equivalence_report(t, h, bridge._EQ_LOGICS[t], grid_cap=50,
+                                                float_samples=12, seed=i,
+                                                flipped_samples=frozenset(failing[t]))
+                    for t in ids], text
 
     @pytest.mark.parametrize("logic", ["godel", "product"])
     def test_each_shared_input_is_made_once(self, monkeypatch, logic):

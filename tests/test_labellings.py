@@ -102,6 +102,11 @@ class TestEnumerate:
         with pytest.raises(SizeBoundError):
             enumerate_adjacent_complete(example3)
 
+    def test_invalid_env_override(self, example3, monkeypatch):
+        monkeypatch.setenv("HAFS_MAX_U", "abc")
+        with pytest.raises(ValidationError, match="^HAFS_MAX_U must be an integer, got 'abc'$"):
+            enumerate_adjacent_complete(example3)
+
     def test_matches_unpruned_brute_force(self):
         for h, _ in corpus(60, seed_base=2100):
             assert set(enumerate_adjacent_complete(h)) == set(brute_force_labellings(h)), \
