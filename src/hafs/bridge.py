@@ -22,7 +22,8 @@ from .errors import PreconditionError, ValidationError
 from .extensions import enumerate_extensions, extension_derived_labelling
 from .framework import HAFS, Incidence, is_support_acyclic, serialize
 from .labellings import HALF, ONE, THREE_VALUES, ZERO, Labelling3, _by_level, _frontier, \
-    _survivors, _three_valued, enumerate_adjacent_complete, is_adjacent_complete
+    _FrontierOverBudget, _survivors, _three_valued, enumerate_adjacent_complete, \
+    is_adjacent_complete
 from .limits import DEFAULT_LABELLING_BOUND, check_universe
 from .logic import And, Assignment, Formula, GODEL, L3, LogicSystem, LUKASIEWICZ, PRODUCT, \
     compile_evaluator, encode_normal, get_logic, value_to_json_obj, variables
@@ -390,6 +391,18 @@ def _sampled_verdicts(codes: np.ndarray, sides: int, levels, check):
     return codes, alive
 
 
+def _grid_agrees(width: int, sides: int, levels, check, budget: int) -> bool:
+    """Whether the two sides of each logic agree on every row of the whole
+    quarter grid, for the ``levels`` and ``check`` of :func:`_level_check`,
+    as a frontier sweep that grows at most ``budget`` rows finds: False at
+    the first row on which they differ, and once it would grow more."""
+    try:
+        return not any((alive[:, 0::2] != alive[:, 1::2]).any()
+                       for _, alive in _frontier(width, 5, sides, levels, check, budget))
+    except _FrontierOverBudget:
+        return False
+
+
 def _check_equation_equivalence(inputs: _Inputs, theorem_ids, grid_cap: int,
                                 float_samples: int, seed: int) -> dict:
     """The report of each of the distinct EQ_* ``theorem_ids``, as each
@@ -404,6 +417,15 @@ def _check_equation_equivalence(inputs: _Inputs, theorem_ids, grid_cap: int,
     yet, and is dropped once every side of each of them has failed on it.
     A logic stops at its first disagreement and is not evaluated again;
     the others go on.
+
+    A sampled grid first sweeps the frontier of the whole grid, growing at
+    most ``grid_cap`` rows (:func:`_grid_agrees`).  A row's verdicts are the
+    conjunction of the same item verdicts whether it is tested whole or as
+    prefixes, so when every logic's two sides agree on every row, no drawn
+    row can fail, and the draw runs only for the generator state that the
+    float samples continue from.  Otherwise, or once the budget runs out,
+    each drawn chunk is tested level by level (:func:`_sampled_verdicts`).
+    Both paths give the same reports.
     """
     h = inputs.h
     order = h.universe
@@ -432,8 +454,13 @@ def _check_equation_equivalence(inputs: _Inputs, theorem_ids, grid_cap: int,
     if exhaustive:
         chunks = _frontier(len(order), 5, sides, levels, check)
     else:
-        chunks = (_sampled_verdicts(codes, sides, levels, check)
-                  for codes in _drawn_chunks(_draw_codes, rng, len(order), grid_cap))
+        drawn = _drawn_chunks(_draw_codes, rng, len(order), grid_cap)
+        if _grid_agrees(len(order), sides, levels, check, grid_cap):
+            for _ in drawn:  # no drawn row can fail; only the generator moves on
+                pass
+            chunks = ()
+        else:
+            chunks = (_sampled_verdicts(codes, sides, levels, check) for codes in drawn)
     for codes, alive in chunks:
         for i, t in enumerate(systems):
             if t not in reports:
@@ -558,7 +585,8 @@ def verify(h: HAFS, theorem_id: str, logic: LogicSystem | str | None = None,
     ``logic`` selects the fuzzy system for T16/IDEM (default Gödel); the
     EQ_G/EQ_P/EQ_L and CORR_G ids fix their own logic.  ``grid_cap`` and
     ``float_samples``, the quarter-grid rows and float points of the EQ_*
-    checks, must be >= 0.
+    checks, must be >= 0; ``grid_cap`` also bounds the rows that the
+    whole-grid sweep of a sampled grid may grow.
 
     ``inputs`` (a :class:`_Inputs` of ``h``) lets the checks of one
     invocation compute what they share once; it selects no behaviour, and

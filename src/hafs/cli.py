@@ -90,7 +90,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bound", type=int, default=8,
                    help="universe cap for the exhaustive checks")
-    p.add_argument("--grid-cap", type=int, default=100_000)
+    p.add_argument("--grid-cap", type=int, default=100_000,
+                   help="EQ_*: test the whole quarter grid up to this many rows, else "
+                        "this many drawn rows; also caps the rows of the whole-grid "
+                        "sweep that can clear every drawn row at once")
     p.add_argument("--float-samples", type=int, default=200)
 
     p = sub.add_parser("random", help="generate a pseudo-random framework")

@@ -44,10 +44,16 @@ def grid_codes(width: int, base: int) -> np.ndarray:
 # equation or conjunct once its last variable is assigned; a partial row that
 # fails is dropped with every row that extends it.  Rows extend in
 # lexicographic order, so the survivors come out in the order of the full
-# grid.  The sampled EQ_* rows are drawn whole and then tested level by level.
+# grid.  A sampled EQ_* grid skips its drawn rows when the whole grid's
+# frontier, within a budget, finds no row on which a model and a solution
+# verdict differ, and otherwise tests them level by level.
 
 _FRONTIER_STEP = 2 ** 8  # a step adds columns while the chunk stays this small
 _FRONTIER_ROWS = 2 ** 14  # partial rows held per chunk
+
+
+class _FrontierOverBudget(Exception):
+    """A budgeted :func:`_frontier` would grow more rows than its budget."""
 
 
 def _by_level(order, items, variables_of) -> list[list]:
@@ -71,7 +77,7 @@ def _survivors(check, codes, alive, items):
     return codes[keep], alive[keep]
 
 
-def _frontier(width: int, base: int, sides: int, levels, check):
+def _frontier(width: int, base: int, sides: int, levels, check, budget=None):
     """Rows of the base-``base`` grid over ``width`` columns on which some
     side still holds, in grid order, as (codes, alive) chunks.
 
@@ -83,6 +89,9 @@ def _frontier(width: int, base: int, sides: int, levels, check):
     in an array that broadcasts to (rows, sides); ``alive`` is the
     conjunction of these over all levels so far.  A row is dropped once
     no side holds.
+
+    With a ``budget``, raises :class:`_FrontierOverBudget` before the rows
+    grown, summed over the steps, would exceed it.
     """
     stack = [_survivors(check, np.zeros((1, 0), dtype=np.int8),
                         np.ones((1, sides), dtype=bool), levels[0])]
@@ -98,6 +107,10 @@ def _frontier(width: int, base: int, sides: int, levels, check):
         while k + step < width and rows * base ** (step + 1) <= _FRONTIER_STEP:
             step += 1
         block = grid_codes(step, base)
+        if budget is not None:
+            budget -= rows * len(block)
+            if budget < 0:
+                raise _FrontierOverBudget
         grown = np.empty((rows * len(block), k + step), dtype=np.int8, order="F")
         grown[:, :k] = np.repeat(codes, len(block), axis=0)
         grown[:, k:] = np.tile(block, (rows, 1))

@@ -315,10 +315,11 @@ class TestExactGrid:
 
         Every full-width call of ``_grid_verdicts`` reports the inverted
         verdict of the whole row on them, so the verdicts of the several
-        calls a sampled row gets do not compound.  The exhaustive sweep
-        makes its one full-width call only on rows on which a side still
-        holds after the partial ones, so there the points should be such
-        rows.
+        calls a row tested level by level gets do not compound.  A frontier
+        sweep (the exhaustive grid, and the whole-grid sweep that lets a
+        sampled grid skip its drawn rows) makes its one full-width call only
+        on rows on which a side still holds after the partial ones, so the
+        points should be such rows: solutions, or models.
         """
         system = build_equations(h, logic)
         targets = np.array(points, dtype=np.int8)
@@ -417,7 +418,7 @@ class TestEquationOracle:
     @pytest.mark.parametrize("theorem_id", ["EQ_G", "EQ_P", "EQ_L"])
     def test_sampled_grid_on_eight_and_nine_elements(self, monkeypatch, theorem_id):
         # two support-acyclic and two support-cyclic frameworks; most drawn
-        # rows are pruned early, and the two flipped rows lie deep in the draw
+        # rows are pruned early
         logic = self.LOGICS[theorem_id]
         frameworks = [h for h, _ in corpus(60, max_u=9, max_args=5, seed_base=16_300)
                       if len(h) >= 8]
@@ -426,17 +427,33 @@ class TestEquationOracle:
                                                    float_samples=20, seed=i)
             report = verify(h, theorem_id, grid_cap=2500, float_samples=20, seed=i)
             assert report.to_json_obj() == expected, hafs.serialize(h)
-            rng = random.Random(i)
+        # no drawn row of those solves the equations, so the flipped rows come
+        # from four self-supported arguments, on which 1 row in 625 does: two
+        # drawn solutions deep in the draw, in two of its three 1000-row
+        # chunks, flipped under the whole-grid sweep's own budget (which runs
+        # out), a budget of 0 and one that the whole grid fits, where the
+        # sweep must see the flipped rows
+        monkeypatch.setattr(bridge, "_EQ_CHUNK_ROWS", 1000)
+        h = hafs.parse(" ".join(f"arg(a{k}). supp(t{k},a{k},a{k})." for k in range(4)))
+        system = build_equations(h, logic)
+        for seed in (2, 3):
+            rng = random.Random(seed)
             sampled = [tuple(rng.randrange(5) for _ in h.universe) for _ in range(2500)]
-            points = [sampled[1200], sampled[2300]]
+            deep = [j for j, codes in enumerate(sampled) if j >= 1200 and system.is_exact_solution(
+                {e: Fraction(k, 4) for e, k in zip(h.universe, codes)})][:2]
+            assert [j // 1000 for j in deep] == [1, 2]
+            points = [sampled[j] for j in deep]
             expected = equation_equivalence_report(theorem_id, h, logic, grid_cap=2500,
-                                                   float_samples=0, seed=i,
+                                                   float_samples=0, seed=seed,
                                                    flipped=frozenset(points))
-            with monkeypatch.context() as patch:
-                TestExactGrid._flip_solution_rows(patch, h, logic, points)
-                report = verify(h, theorem_id, grid_cap=2500, float_samples=0, seed=i)
-            assert not report.passed
-            assert report.to_json_obj() == expected, hafs.serialize(h)
+            for budget in (None, 0, 5 ** len(h)):
+                with monkeypatch.context() as patch:
+                    TestExactGrid._flip_solution_rows(patch, h, logic, points)
+                    agrees = _frontier_budget(patch, budget)
+                    report = verify(h, theorem_id, grid_cap=2500, float_samples=0, seed=seed)
+                assert agrees == [False]
+                assert not report.passed
+                assert report.to_json_obj() == expected, (seed, budget)
 
     @pytest.mark.parametrize("theorem_id", ["EQ_G", "EQ_P", "EQ_L"])
     def test_sampled_rows_are_the_drawn_models_and_solutions(self, monkeypatch, theorem_id):
@@ -486,6 +503,93 @@ class TestEquationOracle:
             report = verify(h, theorem_id, grid_cap=50, float_samples=12, seed=i)
             assert not report.passed
             assert report.to_json_obj() == expected, hafs.serialize(h)
+
+
+def _frontier_budget(monkeypatch, budget):
+    """Make the whole-grid sweep of a sampled EQ_* grid grow at most
+    ``budget`` rows, not ``grid_cap`` (None keeps ``grid_cap``): 0 forces
+    the level-by-level pass over each drawn chunk.  Returns the list to
+    which each sweep appends whether it cleared every drawn row."""
+    grid_agrees, agrees = bridge._grid_agrees, []
+
+    def budgeted(width, sides, levels, check, grid_cap):
+        agrees.append(grid_agrees(width, sides, levels, check,
+                                  grid_cap if budget is None else budget))
+        return agrees[-1]
+
+    monkeypatch.setattr(bridge, "_grid_agrees", budgeted)
+    return agrees
+
+
+class TestSampledPaths:
+    """A sampled grid that skips its drawn rows, once the whole-grid sweep
+    finds that every logic's two sides agree, against the level-by-level
+    pass over each drawn chunk."""
+
+    # planted kernel faults, each with the EQ_* id it shows on
+    FAULTS = {
+        "godel_tnorm_is_max": ("EQ_G", lambda patch: patch.setitem(
+            equations._TNORMS_4, hafs.logic._tnorm_min, np.maximum)),
+        "lukasiewicz_implication_capped_at_5": ("EQ_L", lambda patch: patch.setitem(
+            equations._IMPLICATIONS_4, hafs.logic._impl_lukasiewicz,
+            lambda m, n: np.minimum(4 - m + n, 5))),
+        "godel_implication_is_strict": ("EQ_G", lambda patch: patch.setitem(
+            equations._IMPLICATIONS_4, hafs.logic._impl_godel,
+            lambda m, n: np.where(m < n, 4, n))),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_both_paths_agree_under_kernel_faults(self, monkeypatch, fault):
+        # with a kernel fault planted, the reports of one call for all three
+        # ids, verdicts and counterexamples, are the same under the sweep's
+        # own budget, a budget of 0 (the level-by-level pass) and one that
+        # the whole grid fits, where the sweep must catch every framework
+        # that fails under any of the logics (the strict Gödel implication
+        # leaves some alone, and those skip their drawn rows); 64-row chunks,
+        # so that a counterexample can lie past the first
+        theorem_id, plant = self.FAULTS[fault]
+        ids = list(TestEquationOracle.LOGICS)
+        monkeypatch.setattr(bridge, "_EQ_CHUNK_ROWS", 64)
+        plant(monkeypatch)
+        failed = 0
+        for i, (h, _) in enumerate(corpus(40, max_u=7, seed_base=18_000)):
+            for grid_cap in (20, 300):
+                if 5 ** len(h) <= grid_cap:
+                    continue
+                reports, agrees = [], []
+                for budget in (None, 0, 2 * 5 ** len(h)):
+                    inputs = bridge._Inputs(h, ids)
+                    with monkeypatch.context() as patch:
+                        swept = _frontier_budget(patch, budget)
+                        reports.append({t: verify(h, t, grid_cap=grid_cap, float_samples=0,
+                                                  seed=i, inputs=inputs).to_json_obj()
+                                        for t in ids})
+                    agrees += swept
+                assert agrees[1] is False
+                assert reports[1:] == reports[:1] * 2, (hafs.serialize(h), grid_cap)
+                assert all(r["passed"] for r in reports[0].values()) or not agrees[2]
+                failed += not reports[0][theorem_id]["passed"]
+        assert failed >= 5
+
+    def test_budget_runs_out_on_disjoint_mutual_attack_pairs(self, monkeypatch):
+        # the whole-grid sweep of k disjoint mutual-attack pairs tests nothing
+        # until every argument column is assigned, so it outgrows grid_cap
+        # rows at once, and the level-by-level pass gives the oracle's report;
+        # with a budget that the whole grid fits, it skips the drawn rows
+        for k, grid_cap in ((2, 1000), (3, 300)):
+            h = hafs.parse(" ".join(f"arg(a{j}). arg(b{j}). att(r{j},a{j},b{j}). "
+                                    f"att(s{j},b{j},a{j})." for j in range(k)))
+            for budget, skips in ((None, False), (2 * 5 ** len(h), True)):
+                inputs = bridge._Inputs(h, ["EQ_G", "EQ_P", "EQ_L"])
+                with monkeypatch.context() as patch:
+                    agrees = _frontier_budget(patch, budget)
+                    reports = {t: verify(h, t, grid_cap=grid_cap, float_samples=20, seed=k,
+                                         inputs=inputs) for t in TestEquationOracle.LOGICS}
+                assert agrees == [skips]
+                for theorem_id, logic in TestEquationOracle.LOGICS.items():
+                    assert reports[theorem_id].passed
+                    assert reports[theorem_id].to_json_obj() == equation_equivalence_report(
+                        theorem_id, h, logic, grid_cap=grid_cap, float_samples=20, seed=k)
 
 
 class TestDrawCodes:
@@ -624,46 +728,49 @@ class TestSharedInputs:
         monkeypatch.setattr(EquationSystem, "residuals", inverted)
 
     def test_early_failure_of_one_eq_logic_leaves_the_others_alone(self, monkeypatch):
-        # EQ_G fails on a row of the first drawn chunk (and would again on a
-        # later one), EQ_P on the last row drawn and EQ_L on a float sample,
-        # so EQ_P and EQ_L must still test every chunk, and draw the float
-        # samples where the grid left off; each report is also checked
-        # against the unpruned scalar sweep
+        # EQ_G fails on a drawn solution of the first chunk (and would again
+        # on the last one drawn), EQ_P on the last drawn solution, in the last
+        # chunk, and EQ_L on a float sample, so EQ_P and EQ_L must still test
+        # every chunk, and draw the float samples where the grid left off;
+        # each report is also checked against the unpruned scalar sweep.  The
+        # flipped rows are solutions, which the whole-grid sweep keeps to full
+        # width, so that it sees them wherever it fits its budget
         monkeypatch.setattr(bridge, "_EQ_CHUNK_ROWS", 64)
-        checked = 0
-        for i, (h, _) in enumerate(self.FRAMEWORKS):
-            if 5 ** len(h) <= 300:
-                continue
-            drawn = random.Random(i)
+        for text, seed in (("arg(a). arg(b). supp(t1,a,a). supp(t2,b,b).", 0),
+                           ("arg(a). arg(b). att(r1,a,b). att(r2,b,a).", 0),
+                           ("arg(a). arg(b). arg(c). supp(t1,a,a). supp(t2,b,b). "
+                            "supp(t3,c,c).", 2)):
+            h = hafs.parse(text)
+            drawn = random.Random(seed)
             rows = [np.array([drawn.randrange(5) for _ in h.universe], dtype=np.int8)
                     for _ in range(300)]
 
-            def inverted(logic, *picked, h=h):
-                return [(rows[j], build_equations(h, logic).is_exact_solution(
-                    {e: Fraction(int(k), 4) for e, k in zip(h.universe, rows[j])}))
-                    for j in picked]
+            def solutions(logic, h=h, rows=rows):
+                system = build_equations(h, logic)
+                return [j for j, row in enumerate(rows) if system.is_exact_solution(
+                    {e: Fraction(int(k), 4) for e, k in zip(h.universe, row)})]
+            godel, product = solutions(GODEL), solutions(PRODUCT)
+            assert godel[0] < 64 <= godel[-1] and product[-1] >= 256, text
+            flips = {GODEL: [godel[0], godel[-1]], PRODUCT: [product[-1]]}
 
             ids = ["EQ_G", "T1", "EQ_P", "EQ_L"]
-            options = self.OPTIONS + ["--seed", str(i)]
-            text = hafs.serialize(h)
+            options = self.OPTIONS + ["--seed", str(seed)]
             with monkeypatch.context() as patch:
-                self._invert(patch, {GODEL: inverted(GODEL, 9, 200),
-                                     PRODUCT: inverted(PRODUCT, 299)}, {LUKASIEWICZ: 4})
+                self._invert(patch, {logic: [(rows[j], True) for j in picked]
+                                     for logic, picked in flips.items()}, {LUKASIEWICZ: 4})
                 code, out, err = _one_call(ids, text, options)
                 assert (code, out, err) == _single_id_calls(ids, text, options), text
             reports = json.loads(out)["reports"]
             assert [r["passed"] for r in reports] == [False, True, False, False]
-            oracle = {"grid_cap": 300, "float_samples": 20, "seed": i}
-            codes = [tuple(row.tolist()) for row in rows]
+            oracle = {"grid_cap": 300, "float_samples": 20, "seed": seed}
+            codes = {logic: frozenset(tuple(rows[j].tolist()) for j in picked)
+                     for logic, picked in flips.items()}
             assert [reports[0], reports[2], reports[3]] == [
-                equation_equivalence_report("EQ_G", h, GODEL, **oracle,
-                                            flipped=frozenset([codes[9], codes[200]])),
+                equation_equivalence_report("EQ_G", h, GODEL, **oracle, flipped=codes[GODEL]),
                 equation_equivalence_report("EQ_P", h, PRODUCT, **oracle,
-                                            flipped=frozenset([codes[299]])),
+                                            flipped=codes[PRODUCT]),
                 equation_equivalence_report("EQ_L", h, LUKASIEWICZ, **oracle,
                                             flipped_samples=frozenset([4]))], text
-            checked += 1
-        assert checked >= 3
 
     def test_early_failure_of_one_eq_logic_leaves_the_others_alone_on_the_whole_grid(
             self, monkeypatch):
