@@ -162,10 +162,11 @@ def _indented(value, newline: str) -> str:
     """The text of ``value`` as :func:`_json_text` writes it, with
     ``newline`` the line break and indent of the line it starts on.
 
-    It recurses once per nested container, and the CLI's outputs nest at
-    most 11 deep: ``encode``'s formula, whose paths have at most 7 nodes,
-    each node a dict and an ``and`` or ``or`` node also a list of its
-    children.  That is far under the recursion limit.
+    It recurses once per nested container, and the values it is given nest
+    at most 5 deep: a ``verify`` counterexample's assignment, in its
+    report, in the list of reports.  That is far under the recursion
+    limit.  ``encode``'s formula has a writer of its own,
+    :func:`logic.formula_to_json_text`.
     """
     kind = value.__class__
     scalar = _SCALAR_TEXT.get(kind)
@@ -248,7 +249,7 @@ def _cmd_encode(opts, stdin, stdout) -> int:
     if opts.format == "text":
         stdout.write(logic.formula_to_text(formula) + "\n")
     else:
-        _emit_json(stdout, {"formula": logic.formula_to_json_obj(formula)})
+        stdout.write(logic.formula_to_json_text(formula) + "\n")
     return 0
 
 

@@ -83,11 +83,12 @@ class ElementId:
     def __post_init__(self):
         if not _NAME_RE.fullmatch(self.name):
             raise ValidationError(f"invalid element name {self.name!r}")
-        # the dataclass hash, the sort key and the qualified id, computed
-        # once: ids key every map and set, every sort of a framework reads
-        # the key, and every formula leaf and report prints the qualified id
-        self.__dict__.update(_hash=hash((self.kind, self.name)),
-                             _key=(_KIND_ORDER[self.kind], self.name),
+        # the hash, the sort key and the qualified id, computed once: ids key
+        # every map and set, every sort of a framework reads the key, and
+        # every formula leaf and report prints the qualified id; the hash is
+        # the key's, which equal ids share
+        key = (_KIND_ORDER[self.kind], self.name)
+        self.__dict__.update(_hash=hash(key), _key=key,
                              qualified=f"{self.kind.value}:{self.name}")
 
     def __hash__(self) -> int:
@@ -429,9 +430,9 @@ def parse(text: str) -> HAFS:
         order, names[kind.value] = _KIND_ORDER[kind], sorted(names[kind.value])
         prefix = kind.value + ":"
         for name in names[kind.value]:
-            eid = object.__new__(ElementId)
-            eid.__dict__.update(kind=kind, name=name, _hash=hash((kind, name)),
-                                _key=(order, name), qualified=prefix + name)
+            eid, key = object.__new__(ElementId), (order, name)
+            eid.__dict__.update(kind=kind, name=name, _hash=hash(key), _key=key,
+                                qualified=prefix + name)
             universe.append(eid)
     first = len(names["arg"])
     at = dict(zip(names["arg"] + names["att"] + names["supp"], range(len(universe))))

@@ -15,6 +15,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from json.encoder import encode_basestring_ascii
+from math import lcm
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
@@ -247,6 +249,9 @@ class Assignment(Mapping):
     def __getitem__(self, key: ElementId):
         return self._values[key]
 
+    def items(self):
+        return self._values.items()
+
     def __iter__(self) -> Iterator[ElementId]:
         return iter(self._values)
 
@@ -284,6 +289,8 @@ class Assignment(Mapping):
 # under Product, reduced only past 2^31; and its text and JSON renderings.
 
 THREE_VALUES = (Fraction(0), Fraction(1, 2), Fraction(1))
+# the same three values as (numerator, denominator) pairs in lowest terms
+_THREE_PAIRS = frozenset((v.numerator, v.denominator) for v in THREE_VALUES)
 
 
 def _lookup(assignment: Mapping, element: ElementId, logic: LogicSystem):
@@ -354,6 +361,48 @@ def _connectives(logic: str, one, zero, neg: Callable, tnorm: Callable,
     return table
 
 
+def _tnorm_lukasiewicz_n(d):
+    def tnorm(x, y):
+        z = x + y - d
+        return z if z > 0 else 0
+    return tnorm
+
+
+def _impl_godel_n(d):
+    return lambda m, n: d if m <= n else n
+
+
+def _impl_lukasiewicz_n(d):
+    def impl(m, n):
+        z = d - m + n
+        return z if z < d else d
+    return impl
+
+
+# the built-in operators on int numerators over one common denominator d:
+# each maps d to the operator whose result, over d, is the built-in's on the
+# values; Product's t-norm and implication leave the denominator, so they
+# have none
+_TNORMS_N = {_tnorm_min: lambda d: _tnorm_min, _tnorm_lukasiewicz: _tnorm_lukasiewicz_n}
+_IMPLICATIONS_N = {_impl_godel: _impl_godel_n, _impl_lukasiewicz: _impl_lukasiewicz_n}
+
+
+def _numerators(assignment: Mapping, logic: LogicSystem) -> tuple[int, dict] | None:
+    """The lcm d of the denominators of the values of ``assignment`` that lie
+    in the logic's domain, and each such element's numerator over d; None
+    when some value is not exactly an int or a Fraction."""
+    three_valued = logic.value_domain == "three_valued"
+    inside = {}
+    for element, value in assignment.items():
+        if value.__class__ is not Fraction and value.__class__ is not int:
+            return None
+        pair = value.numerator, value.denominator  # the denominator is positive
+        if pair in _THREE_PAIRS if three_valued else 0 <= pair[0] <= pair[1]:
+            inside[element] = pair
+    d = lcm(*{den for _, den in inside.values()})
+    return d, {element: num * (d // den) for element, (num, den) in inside.items()}
+
+
 def evaluate(f: Formula, assignment: Mapping, logic: LogicSystem):
     """Truth value of ``f`` under ``assignment`` in ``logic``.
 
@@ -363,8 +412,26 @@ def evaluate(f: Formula, assignment: Mapping, logic: LogicSystem):
     the three-valued system, where it is max.  Every leaf is checked, with
     no short-circuit: an unassigned variable or a value outside the
     logic's domain raises :class:`EvaluationError` wherever it occurs.
+
+    When every value is an int or a Fraction and the operators are the
+    built-ins of L3, Gödel or Łukasiewicz, the fold runs on int numerators
+    over the lcm of the in-domain values' denominators, and the result is
+    that numerator over it as a Fraction: the same value as the fold on
+    Fractions.  A leaf that was not scaled is read by :func:`_lookup`,
+    which raises.
     """
     join = max if logic.value_domain == "three_valued" else None
+    tnorm, impl = _TNORMS_N.get(logic.tnorm), _IMPLICATIONS_N.get(logic.implication)
+    if (logic.negation is _standard_negation and tnorm is not None and impl is not None
+            and (scaled := _numerators(assignment, logic)) is not None):
+        d, numerators = scaled
+
+        def leaf(element):
+            value = numerators.get(element)
+            return _lookup(assignment, element, logic) if value is None else value
+
+        table = _connectives(logic.name, d, 0, lambda x: d - x, tnorm(d), join, impl(d))
+        return Fraction(_fold(f, leaf, table), d)
     table = _connectives(logic.name, 1, 0, logic.negation, logic.tnorm, join, logic.implication)
     return _fold(f, lambda element: _lookup(assignment, element, logic), table)
 
@@ -422,14 +489,15 @@ def encode_normal(h: HAFS) -> Formula:
     over its incoming attacks and ``~(support & ~supporter)`` over its
     incoming supports; with no incoming edges the right side is Top.
     Conjunct order follows element order, inner order follows relation
-    ids, so the output is reproducible.
+    ids, so the output is reproducible.  Each element's variable is one
+    node, shared by all its occurrences.
     """
-    u = h.universe
+    var = [Var(x) for x in h.universe]
     conjuncts = []
-    for a, (attacks, supports) in zip(u, h.incidence.incoming):
-        parts: list[Formula] = [Not(And((Var(u[r]), Var(u[b])))) for b, r in attacks]
-        parts += [Not(And((Var(u[t]), Not(Var(u[c]))))) for c, t in supports]
-        conjuncts.append(Iff(Var(a), conjunction(parts)))
+    for a, (attacks, supports) in zip(var, h.incidence.incoming):
+        parts: list[Formula] = [Not(And((var[r], var[b]))) for b, r in attacks]
+        parts += [Not(And((var[t], Not(var[c])))) for c, t in supports]
+        conjuncts.append(Iff(a, conjunction(parts)))
     return conjunction(conjuncts)
 
 
@@ -451,11 +519,11 @@ def _infix(op: str, children: tuple, empty: str):
     for child in children:
         pieces += (child, op)
     pieces[-1] = ")"
-    return tuple(pieces)
+    return pieces
 
 
-# each node's text as a tuple of pieces, strings or the pieces of its
-# children, which formula_to_text joins once; composite children parenthesise
+# each node's text as a sequence of pieces, strings or the pieces of its
+# children, which _flatten joins once; composite children parenthesise
 # themselves
 _TEXT = {Top: lambda: "T", Bottom: lambda: "F", Not: lambda child: ("~", child),
          And: lambda *children: _infix(" & ", children, "T"),
@@ -471,17 +539,71 @@ _JSON = {Top: lambda: {"op": "top"}, Bottom: lambda: {"op": "bottom"},
          Iff: lambda lhs, rhs: {"op": "iff", "lhs": lhs, "rhs": rhs}, Formula: _unknown_node}
 
 
-def formula_to_text(f: Formula) -> str:
-    """Canonical fully parenthesised form; Top/Bottom print as T/F."""
-    out, todo = [], [_fold(f, attrgetter("name"), _TEXT)]
+def _json_list(op: str, children: tuple) -> list:
+    if not children:
+        return ["{", 1, '"children": [],', 0, f'"op": "{op}"', -1, "}"]
+    pieces = ["{", 1, '"children": [', 1]
+    for child in children:
+        pieces += (child, ",", 0)
+    pieces[-2:] = (-1, "],", 0, f'"op": "{op}"', -1, "}")
+    return pieces
+
+
+# the same text as _JSON's dict written by json.dumps(indent=2, sort_keys=True),
+# in pieces for _flatten; an int piece is a line break, its indent that many
+# levels deeper than the line before's
+_JSON_TEXT = {Top: lambda: ("{", 1, '"op": "top"', -1, "}"),
+              Bottom: lambda: ("{", 1, '"op": "bottom"', -1, "}"),
+              Not: lambda child: ("{", 1, '"child": ', child, ",", 0, '"op": "not"', -1, "}"),
+              And: lambda *children: _json_list("and", children),
+              Or: lambda *children: _json_list("or", children),
+              Implies: lambda lhs, rhs: ("{", 1, '"lhs": ', lhs, ",", 0, '"op": "implies",', 0,
+                                         '"rhs": ', rhs, -1, "}"),
+              Iff: lambda lhs, rhs: ("{", 1, '"lhs": ', lhs, ",", 0, '"op": "iff",', 0,
+                                     '"rhs": ', rhs, -1, "}"),
+              Formula: _unknown_node}
+
+
+def _flatten(pieces, var: Callable | None = None) -> str:
+    """The text of a tree of pieces, joined once: a str is written as it is,
+    an int d is a line break indented d levels (two spaces each) deeper than
+    the last one, a tuple or list holds pieces, and any other piece is a
+    variable's leaf, written as ``var(leaf, margin)`` with ``margin`` the
+    line break of the line it is on."""
+    out, todo, depth, margins = [], [pieces], 0, ["\n"]
     while todo:
         piece = todo.pop()
-        if isinstance(piece, str):
+        kind = piece.__class__
+        if kind is str:
             out.append(piece)
+        elif kind is int:
+            depth += piece
+            if depth == len(margins):
+                margins.append(margins[-1] + "  ")
+            out.append(margins[depth])
+        elif kind is tuple or kind is list:
+            todo += reversed(piece)
         else:
-            todo.extend(reversed(piece))
+            out.append(var(piece, margins[depth]))
     return "".join(out)
+
+
+def formula_to_text(f: Formula) -> str:
+    """Canonical fully parenthesised form; Top/Bottom print as T/F."""
+    return _flatten(_fold(f, attrgetter("name"), _TEXT))
 
 
 def formula_to_json_obj(f: Formula) -> dict:
     return _fold(f, lambda element: {"op": "var", "id": element.qualified}, _JSON)
+
+
+def _json_var(element: ElementId, margin: str) -> str:
+    return (f'{{{margin}  "id": {encode_basestring_ascii(element.qualified)},'
+            f'{margin}  "op": "var"{margin}}}')
+
+
+def formula_to_json_text(f: Formula) -> str:
+    """``json.dumps({"formula": formula_to_json_obj(f)}, indent=2,
+    sort_keys=True)``, the text that ``encode --format json`` prints."""
+    return _flatten(("{", 1, '"formula": ', _fold(f, lambda element: element, _JSON_TEXT),
+                     -1, "}"), _json_var)

@@ -1,6 +1,7 @@
 """Every reading of a formula on a chain deeper than the recursion limit,
 and the precedence of the errors that the walk raises."""
 
+import json
 import sys
 import time
 from dataclasses import dataclass
@@ -13,9 +14,9 @@ from hafs import (And, Assignment, EvaluationError, Formula, GODEL, Implies, L3,
                   Not, Or, PRODUCT, Var, argument, compile_evaluator, evaluate,
                   formula_to_json_obj, formula_to_text, variables)
 from hafs.equations import _exact_ops
-from hafs.logic import _fold
+from hafs.logic import _fold, formula_to_json_text
 
-from helpers import exact_fractions, exact_leaf
+from helpers import exact_fractions, exact_leaf, reference_formula_to_json_obj
 
 A, B, C = argument("a"), argument("b"), argument("c")
 LOGICS = (L3, GODEL, PRODUCT, LUKASIEWICZ)
@@ -84,6 +85,50 @@ class TestDeepFormulas:
         assert node == {"op": "var", "id": "arg:a"}
         assert ops == [("not", "and", "implies")[i % 3] for i in reversed(range(self.DEPTH))]
 
+    @staticmethod
+    def not_chain(depth):
+        """``depth`` negations of a, and the lines of their JSON document."""
+        f, pad = Var(A), "  ".__mul__
+        for _ in range(depth):
+            f = Not(f)
+        lines = ["{", pad(1) + '"formula": {']
+        lines += [pad(j + 2) + '"child": {' for j in range(depth)]
+        lines += [pad(depth + 2) + '"id": "arg:a",', pad(depth + 2) + '"op": "var"']
+        for j in reversed(range(depth)):
+            lines += [pad(j + 2) + "},", pad(j + 2) + '"op": "not"']
+        return f, "\n".join(lines + [pad(1) + "}", "}"])
+
+    @staticmethod
+    def and_nesting(depth):
+        """``depth`` conjunctions, each of the last and b, around a; and the
+        lines of their JSON document."""
+        f, pad = Var(A), "  ".__mul__
+        for _ in range(depth):
+            f = And((f, Var(B)))
+        lines = ["{", pad(1) + '"formula": {']
+        for j in range(depth):
+            lines += [pad(2 * j + 2) + '"children": [', pad(2 * j + 3) + "{"]
+        lines += [pad(2 * depth + 2) + '"id": "arg:a",', pad(2 * depth + 2) + '"op": "var"']
+        for j in reversed(range(depth)):
+            lines += [pad(2 * j + 3) + "},", pad(2 * j + 3) + "{",
+                      pad(2 * j + 4) + '"id": "arg:b",', pad(2 * j + 4) + '"op": "var"',
+                      pad(2 * j + 3) + "}", pad(2 * j + 2) + "],", pad(2 * j + 2) + '"op": "and"']
+        return f, "\n".join(lines + [pad(1) + "}", "}"])
+
+    def test_json_text_of_deep_nestings(self):
+        # the expected lines are what json.dumps writes, as it does at a small depth
+        for make in (self.not_chain, self.and_nesting):
+            for depth in (1, 2, 7):
+                f, text = make(depth)
+                assert text == json.dumps({"formula": reference_formula_to_json_obj(f)},
+                                          indent=2, sort_keys=True)
+                assert formula_to_json_text(f) == text
+        # past the recursion limit; the text of an n-deep nesting has on the
+        # order of n^2 bytes (18 MB for this And nesting), so it stays near
+        for make in (self.not_chain, self.and_nesting):
+            f, text = make(sys.getrecursionlimit() + 7)
+            assert formula_to_json_text(f) == text
+
     def test_text_of_a_much_deeper_chain_takes_linear_time(self):
         # 200 000 levels, 933 332 characters: copying each level's text into
         # its parent's is quadratic (30 s on a 2-core x86-64 under Python
@@ -150,7 +195,7 @@ class TestErrorPrecedence:
             evaluate(And((Var(B), Xor(Var(A), Var(A)))), {A: Fraction(1, 2)}, logic)
 
     def test_unknown_node_raises_value_error_from_the_renderers(self):
-        for render in (formula_to_text, formula_to_json_obj):
+        for render in (formula_to_text, formula_to_json_obj, formula_to_json_text):
             with pytest.raises(ValueError) as info:
                 render(Not(Xor(Var(A), Var(B))))
             assert type(info.value) is ValueError

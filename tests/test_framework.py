@@ -38,10 +38,11 @@ class TestElementId:
         assert argument("a") != attack_id("a")
         assert argument("a") == argument("a")
 
-    def test_hash_is_the_field_tuple_hash_after_pickling_elsewhere(self):
+    def test_hash_is_the_sort_key_hash_after_pickling_elsewhere(self):
         import pickle
         eid = attack_id("r1")
-        assert hash(eid) == hash((eid.kind, eid.name))
+        assert hash(eid) == hash(eid._key) == hash((1, "r1"))
+        assert hash(parse("arg(a). att(r1,a,a).").universe[1]) == hash(eid)
         # str hashes depend on the process's hash seed; a cached hash must not travel
         dumped = subprocess.run(
             [sys.executable, "-c", "import pickle, sys; from hafs import attack_id; "

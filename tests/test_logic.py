@@ -1,5 +1,7 @@
 import gc
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,12 +9,13 @@ from hypothesis import given, strategies as st
 import numpy as np
 
 from hafs import (And, Assignment, BUILTIN_LOGICS, Bottom, EvaluationError, GODEL,
-                  Iff, Implies, L3, LUKASIEWICZ, Not, Or, PRODUCT, Top, ValidationError,
-                  Var, argument, attack_id, compile_evaluator, encode_normal, evaluate,
-                  formula_to_json_obj, formula_to_text, get_logic, is_model, parse,
+                  Iff, Implies, L3, LUKASIEWICZ, LogicSystem, Not, Or, PRODUCT, Top,
+                  ValidationError, Var, argument, attack_id, compile_evaluator, encode_normal,
+                  evaluate, formula_to_json_obj, formula_to_text, get_logic, is_model, parse,
                   serialize, support_id, variables)
 from hafs.equations import _exact_ops, _impl_product_q, _neg_q, _tnorm_product_q
-from hafs.logic import _IMPLICATIONS_F, _TNORMS_F, _fold, _lookup
+from hafs.logic import (_IMPLICATIONS_F, _TNORMS_F, _fold, _impl_godel, _lookup, _tnorm_min,
+                        formula_to_json_text)
 
 from helpers import (ReferenceOps, corpus, exact_fractions, exact_leaf, pair_fractions,
                      reference_fold, reference_formula_to_json_obj, reference_formula_to_text,
@@ -400,6 +403,137 @@ class TestAgainstReferenceWalkers:
                     logic.name
             else:
                 assert got == expected, logic.name
+
+
+# -- exact L3, Gödel and Łukasiewicz values on int numerators ---------------------
+
+# primes, so that the common denominator of a point is the product of its
+# values' denominators, up to 2^89 - 1 each
+PRIMES = (2, 3, 7, 97, 101, 1009, 65_537, 2 ** 31 - 1, 2 ** 61 - 1, 2 ** 89 - 1)
+
+unit_values = st.one_of(
+    st.sampled_from([0, 1]), rationals01,
+    st.builds(lambda p, k: Fraction(k % (p + 1), p), st.sampled_from(PRIMES),
+              st.integers(0, 2 ** 90)))
+three_values = st.sampled_from([0, 1, Fraction(0), Fraction(1, 2), Fraction(1)])
+# None for unassigned, then values outside each logic's domain
+bad_values = st.sampled_from([None, Fraction(1, 4), Fraction(5, 4), 2, -1, Fraction(-1, 3)])
+
+
+def _fraction_ops(logic):
+    join = max if logic is L3 else None
+    return ReferenceOps(logic.name, Fraction(1), Fraction(0), logic.negation, logic.tnorm, join,
+                        logic.implication)
+
+
+class TestIntegerFold:
+    """Exact L3, Gödel and Łukasiewicz values, folded on int numerators over
+    one common denominator, against the fold of the logic's own operators on
+    Fractions."""
+
+    @staticmethod
+    def check(f, point, logic):
+        got = _outcome(lambda: evaluate(f, point, logic))
+        expected = _outcome(lambda: reference_fold(
+            f, lambda e: Fraction(_lookup(point, e, logic)), _fraction_ops(logic)))
+        assert got == expected, logic.name
+        if got[0] == "value":
+            assert type(got[1]) is Fraction and str(got[1]) == str(expected[1]), logic.name
+        return got
+
+    @given(f=formulas, values=st.tuples(unit_values, unit_values, unit_values),
+           three=st.tuples(three_values, three_values, three_values))
+    def test_values_equal_the_fold_on_fractions(self, f, values, three):
+        for logic, point in ((L3, three), (GODEL, values), (LUKASIEWICZ, values)):
+            self.check(f, dict(zip((A, B, C), point)), logic)
+
+    @given(f=formulas, values=st.tuples(unit_values, unit_values, unit_values),
+           bad=st.tuples(bad_values, bad_values, bad_values), where=st.sets(st.sampled_from("abc")))
+    def test_errors_equal_the_fold_on_fractions(self, f, values, bad, where):
+        for logic in (L3, GODEL, LUKASIEWICZ):
+            point = dict(zip((A, B, C), values if logic is not L3 else (Fraction(1, 2),) * 3))
+            for x, value in zip((A, B, C), bad):
+                if x.name in where:
+                    point[x] = value
+            self.check(f, {x: v for x, v in point.items() if v is not None}, logic)
+
+    def test_large_coprime_denominators(self):
+        h = parse("arg(a). arg(b). att(r,a,b). supp(t,b,a).")
+        f = encode_normal(h)
+        values = dict(zip(h.universe, (Fraction(1, 2 ** 89 - 1), Fraction(3, 65_537),
+                                       Fraction(5, 2 ** 61 - 1), 1)))
+        for logic in (GODEL, LUKASIEWICZ):
+            self.check(f, values, logic)
+            self.check(f, Assignment(values), logic)
+
+    def test_first_bad_leaf_in_walk_order_raises(self):
+        f = And((Var(A), Iff(Var(B), Not(Var(C)))))
+        cases = [
+            (GODEL, {A: Fraction(1, 3), C: Fraction(5, 4)}, "variable arg:b is unassigned"),
+            (LUKASIEWICZ, {A: Fraction(1, 3), B: Fraction(7, 4), C: 2},
+             "value Fraction(7, 4) of arg:b is outside [0, 1]"),
+            (GODEL, {A: 1, B: Fraction(1, 2), C: -1}, "value -1 of arg:c is outside [0, 1]"),
+            (L3, {A: Fraction(1, 2), B: Fraction(1, 4)}, "value Fraction(1, 4) of arg:b is "
+                                                         "not three-valued"),
+            (L3, {A: Fraction(1, 2), B: 1, C: 2}, "value 2 of arg:c is not three-valued"),
+        ]
+        for logic, point, message in cases:
+            assert self.check(f, point, logic) == ("error", EvaluationError, message)
+
+    def test_bad_value_outside_the_formula_raises_nothing(self):
+        assert evaluate(Not(Var(A)), {A: Fraction(1, 3), B: Fraction(5, 4), C: 7},
+                        GODEL) == Fraction(2, 3)
+        assert evaluate(Not(Var(A)), {A: Fraction(1, 2), B: Fraction(1, 3)}, L3) == Fraction(1, 2)
+        # the value outside the domain does not enter the common denominator
+        assert evaluate(Top(), {A: Fraction(1, 3)}, L3) == 1
+
+    def test_not_three_valued_still_raises_under_l3(self):
+        for value in (Fraction(1, 4), Fraction(2, 3), 2):
+            with pytest.raises(EvaluationError, match="is not three-valued"):
+                evaluate(Or((Var(B), Var(A))), {A: value, B: 1}, L3)
+
+    def test_float_bool_and_mixed_points_keep_their_values(self):
+        # on the fold of the logic's operators, the values keep their types
+        assert type(evaluate(And((Var(A), Var(B))), {A: 0.25, B: 0.5}, GODEL)) is float
+        assert evaluate(And((Var(A), Var(B))), {A: 0.25, B: Fraction(1, 2)}, GODEL) == 0.25
+        assert evaluate(And((Var(A), Var(B))), {A: 0.75, B: Fraction(1, 2)},
+                        LUKASIEWICZ) == 0.25
+        assert type(evaluate(And((Var(A), Var(B))), {A: 0.75, B: Fraction(1, 2)},
+                             LUKASIEWICZ)) is float
+        assert evaluate(Var(A), {A: True}, L3) is True
+        assert type(evaluate(Not(Var(A)), {A: False, B: Fraction(1, 2)}, GODEL)) is int
+        assert type(evaluate(Not(Var(A)), {A: 0}, PRODUCT)) is int
+        custom = LogicSystem("custom", "unit_interval", lambda x: 1 - x, _tnorm_min, _impl_godel)
+        assert type(evaluate(Not(Var(A)), {A: 0}, custom)) is int
+        assert type(evaluate(Not(Var(A)), {A: 0}, GODEL)) is Fraction
+
+
+# -- encode's JSON text ----------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden.jsonl"
+
+
+def _json_document(f) -> str:
+    return json.dumps({"formula": reference_formula_to_json_obj(f)}, indent=2, sort_keys=True)
+
+
+class TestJsonText:
+    @given(f=formulas)
+    def test_generated_formulas(self, f):
+        assert formula_to_json_text(f) == _json_document(f)
+
+    def test_constants_and_empty_connectives(self):
+        for f in (Top(), Bottom(), And(()), Or(()), Not(And(())), Iff(Or(()), Top()),
+                  And((Or(()), Bottom(), Var(A))), Implies(Var(A), And((Top(),)))):
+            assert formula_to_json_text(f) == _json_document(f)
+
+    def test_encodings_of_the_golden_corpus(self):
+        texts = dict.fromkeys(json.loads(line)["stdin"]
+                              for line in GOLDEN.read_text(encoding="utf-8").splitlines())
+        assert len(texts) == 14
+        for text in texts:
+            f = encode_normal(parse(text))
+            assert formula_to_json_text(f) == _json_document(f)
 
 
 class TestAssignment:
