@@ -264,15 +264,26 @@ _STALL_EVERY = 50
 _ANDERSON_DEPTH = 5
 _SNAP = 1e-3
 
-# Systems of at least this many elements iterate all their starts together
-# as one (starts x n) array (_run_batched); smaller ones run each start in
-# Python (_run).  Mean process time per solve of 11 starts on random
-# Gödel/Product/Łukasiewicz systems (2-core x86-64, numpy 2.4, best of 5),
-# array against per-start: 1.53 vs 0.95 ms at |U| = 3, 3.00 vs 2.37 ms at
-# |U| = 6, 2.48 vs 2.13 ms at |U| = 8, about even at |U| = 10, then 2.03 vs
-# 2.29 ms at |U| = 12, 4.22 vs 9.09 ms at |U| = 32, 4.69 vs 25.0 ms at
-# |U| = 128.
-_BATCH_MIN_ELEMENTS = 12
+# A solve whose elements times starts reach this iterates all its starts
+# together as one (starts x n) array (_run_batched); a smaller one runs each
+# start in Python (_run).  Mean process time per solve on random
+# Gödel/Product/Łukasiewicz systems (generate_random seeds 0-3; 10-13 at
+# |U| = 30 and 40, where seeds 0-3 hold a stalling Product solve), 2-core
+# x86-64, numpy 2.4, best of 5; each cell is elements x starts, then the
+# array's ms against the per-start loop's:
+#
+#   |U|   3 starts               5 starts               11 starts
+#    8    24:  2.01 vs 0.52      40:  1.14 vs 0.57      88:  1.25 vs 1.23
+#   12    36:  1.16 vs 0.46      60:  1.22 vs 0.78     132:  1.35 vs 1.80
+#   15    45:  1.46 vs 0.73      75:  1.56 vs 1.22     165:  1.78 vs 2.76
+#   20    60:  1.19 vs 0.72     100:  1.27 vs 1.26     220:  1.54 vs 2.68
+#   30    90:  1.87 vs 1.56     150:  2.18 vs 2.62     330:  2.93 vs 5.68
+#   40   120:  1.31 vs 1.28     200:  1.44 vs 2.16     440:  1.72 vs 4.76
+#   50   150:  1.56 vs 1.95     250:  1.67 vs 3.25     550:  1.97 vs 7.19
+#  100   300:  2.23 vs 4.66     500:  2.42 vs 7.80    1100:  2.83 vs 17.24
+#
+# The two are about even from 88 to 120, and the array wins from 132 on.
+_BATCH_MIN_WORK = 12 * 11
 
 
 def solve_fixed_point(system: EquationSystem, damping: float = 0.5,
@@ -287,8 +298,8 @@ def solve_fixed_point(system: EquationSystem, damping: float = 0.5,
     and when it converges there, coordinates within 1e-3 of 0 or 1 are
     snapped to them if the snapped vector is verified to be within
     tolerance too.  Every step counts against ``max_iter``.  Under the
-    built-in t-norms, systems of at least ``_BATCH_MIN_ELEMENTS`` elements
-    take their damped steps for all starts at once as one (starts x n)
+    built-in t-norms, when elements times starts reach ``_BATCH_MIN_WORK``,
+    the starts take their damped steps all at once as one (starts x n)
     array, with each start keeping its own schedule and the same floats.
     Converged duplicates (within ten tolerances in max norm) of an earlier
     solution are dropped; non-converged runs are reported as such, never
@@ -314,7 +325,8 @@ def solve_fixed_point(system: EquationSystem, damping: float = 0.5,
 
     view = system.framework.incidence
     apply = _compile_apply(system.logic, view)
-    batched = _layered_apply(system.logic, view) if n >= _BATCH_MIN_ELEMENTS else None
+    batched = _layered_apply(system.logic, view) if n * len(starts) >= _BATCH_MIN_WORK \
+        else None
     if batched is None:
         runs = [_run(apply, list(x), damping, tolerance, max_iter) for x in starts]
     else:

@@ -17,7 +17,7 @@ from typing import Iterable, Literal
 import numpy as np
 
 from .errors import ValidationError
-from .framework import HAFS, ElementId
+from .framework import HAFS, ElementId, Incidence
 from .limits import DEFAULT_LABELLING_BOUND, check_universe
 from .logic import THREE_VALUES, Assignment
 
@@ -36,17 +36,20 @@ def grid_codes(width: int, base: int) -> np.ndarray:
 
 # -- frontier sweep --------------------------------------------------------------
 #
-# A labelling, like a solution of an equation system, is a row on which each
-# element's condition holds.  The encoded formula is a conjunction, which takes
-# the top value exactly when every conjunct does: under min, and under every
-# built-in t-norm, which lies below min.  So all four grid sweeps assign the
-# universe in order, a few elements at a time, and test each condition,
-# equation or conjunct once its last variable is assigned; a partial row that
-# fails is dropped with every row that extends it.  Rows extend in
-# lexicographic order, so the survivors come out in the order of the full
-# grid.  A sampled EQ_* grid skips its drawn rows when the whole grid's
-# frontier, within a budget, finds no row on which a model and a solution
-# verdict differ, and otherwise tests them level by level.
+# A solution of an equation system is a row on which each element's equation
+# holds.  The encoded formula is a conjunction, which takes the top value
+# exactly when every conjunct does: under min, and under every built-in
+# t-norm, which lies below min.  So the three grid sweeps (the PL3 models, the
+# exact ternary solutions and the EQ_* quarter grid) assign the universe in
+# order, a few elements at a time, and test each equation or conjunct once
+# its last variable is assigned; a partial row that fails is dropped with
+# every row that extends it.  Rows extend in lexicographic order, so the
+# survivors come out in the order of the full grid.  A sampled EQ_* grid
+# skips its drawn rows when the whole grid's frontier, within a budget, finds
+# no row on which a model and a solution verdict differ, and otherwise tests
+# them level by level.  The complete labellings are not swept: they come from
+# the search of :func:`_complete_codes`, which shares no code with these
+# sweeps, so T_PL3 and CORR_G still compare two code paths.
 
 _FRONTIER_STEP = 2 ** 8  # a step adds columns while the chunk stays this small
 _FRONTIER_ROWS = 2 ** 14  # partial rows held per chunk
@@ -79,7 +82,8 @@ def _survivors(check, codes, alive, items):
 
 def _frontier(width: int, base: int, sides: int, levels, check, budget=None):
     """Rows of the base-``base`` grid over ``width`` columns on which some
-    side still holds, in grid order, as (codes, alive) chunks.
+    side still holds, in grid order, as (codes, alive) chunks: the PL3
+    models, the exact ternary solutions and the EQ_* quarter grid.
 
     Each step extends a chunk of at most ``_FRONTIER_ROWS`` partial rows,
     depth-first so that memory stays bounded, by one column, or by more
@@ -183,36 +187,106 @@ def is_adjacent_complete(h: HAFS, labelling: Labelling3) -> bool:
     return True
 
 
+# -- labelling search ------------------------------------------------------------
+#
+# Labels are held in halves: codes 0, 1 and 2 stand for 0, 1/2 and 1, and _FREE
+# marks an undecided position, which ranges over [0, 2].  An element's label is
+# the min of its terms, 2 - min(b, r) for each attack pair (b, r) and
+# 2 - min(2 - c, t) for each support pair (c, t), and 2 when it has no pairs.
+# Each term is monotone in each input, so its lowest and highest value over the
+# undecided inputs are taken at the ends of their ranges: _TERM_BOUNDS holds
+# them by 16 * kind + 4 * first input + second input, kind 0 for an attack pair
+# and 1 for a support pair.  The min of the terms' lowest values is the lowest
+# label; the min of their highest values bounds the label from above, exactly
+# once every input is decided.
+
+_FREE = 3
+_LOWEST = (0, 1, 2, 0)
+_HIGHEST = (0, 1, 2, 2)
+_TERM_BOUNDS = tuple(
+    (2 - min(_HIGHEST[x], _HIGHEST[y]), 2 - min(_LOWEST[x], _LOWEST[y])) if kind == 0
+    else (2 - min(2 - _LOWEST[x], _HIGHEST[y]), 2 - min(2 - _HIGHEST[x], _LOWEST[y]))
+    for kind in range(2) for x in range(4) for y in range(4))
+
+
+def _bounds(terms, labels) -> tuple[int, int]:
+    """Lowest and highest label the (kind, i, j) ``terms`` of one element
+    can give under ``labels``."""
+    low = high = 2
+    for kind, i, j in terms:
+        term_low, term_high = _TERM_BOUNDS[kind + 4 * labels[i] + labels[j]]
+        if term_low < low:
+            low = term_low
+        if term_high < high:
+            high = term_high
+    return low, high
+
+
+def _propagate(terms, readers, labels: list[int], queue: list[int]) -> bool:
+    """Examine the elements in ``queue`` until none is left: an undecided
+    element whose lowest and highest label meet is decided, and its
+    readers are queued; False once a decided label falls outside its
+    bounds, when no complete labelling extends ``labels``."""
+    while queue:
+        a = queue.pop()
+        low, high = _bounds(terms[a], labels)
+        label = labels[a]
+        if label == _FREE:
+            if low == high:
+                labels[a] = low
+                queue.extend(readers[a])
+        elif not low <= label <= high:
+            return False
+    return True
+
+
+def _complete_codes(view: Incidence) -> list[list[int]]:
+    """Every complete labelling, as codes by position, in grid order.
+
+    Depth-first over an explicit stack from the all-undecided labelling
+    with every element queued.  A node that survives :func:`_propagate`
+    branches on its first undecided position, over the labels within its
+    bounds in the order 0, 1/2, 1, and each child queues the readers of
+    that position.  Children differ only there, so the labellings come out
+    in grid order.  A fully decided node is complete: each element was
+    examined after its last input was decided, when its bounds meet at
+    the label its conditions give.
+    """
+    n = len(view.incoming)
+    terms = [tuple((0, b, r) for b, r in attacks) + tuple((16, c, t) for c, t in supports)
+             for attacks, supports in view.incoming]
+    readers: list[list[int]] = [[] for _ in range(n)]
+    for a, pairs in enumerate(terms):
+        for p in sorted({x for _, i, j in pairs for x in (i, j)}):
+            readers[p].append(a)
+    found = []
+    stack = [([_FREE] * n, list(range(n)))]
+    while stack:
+        labels, queue = stack.pop()
+        if not _propagate(terms, readers, labels, queue):
+            continue
+        if _FREE not in labels:
+            found.append(labels)
+            continue
+        p = labels.index(_FREE)
+        low, high = _bounds(terms[p], labels)
+        for label in range(high, low - 1, -1):
+            child = labels.copy()
+            child[p] = label
+            stack.append((child, readers[p].copy()))
+    return found
+
+
 def enumerate_adjacent_complete(h: HAFS, bound: int | None = None) -> tuple[Labelling3, ...]:
     """All labellings satisfying the per-element conditions.
 
-    Frontier sweep over the 3^|U| grid (:func:`_frontier`): a partial
-    labelling is dropped once an element whose incoming pairs are all
-    assigned breaks its condition.  Output order is lexicographic over
-    elements sorted by id with value order 0 < 1/2 < 1.
+    Found by the propagation search of :func:`_complete_codes` on the
+    framework's incidence.  Output order is lexicographic over elements
+    sorted by id with value order 0 < 1/2 < 1, the order of the full grid.
     """
-    n = len(h.universe)
-    check_universe(n, bound, DEFAULT_LABELLING_BOUND)
-
-    incoming = h.incidence.incoming
-    levels = _by_level(range(n), range(n),
-                       lambda i: {i}.union(*incoming[i][0], *incoming[i][1]))
-
-    def check(codes, elements):
-        valid = np.ones(len(codes), dtype=bool)
-        for ia in elements:
-            att, supp = incoming[ia]
-            cond_one, cond_zero = True, False
-            for ib, ir in att:
-                cond_one &= (codes[:, ib] == 0) | (codes[:, ir] == 0)
-                cond_zero |= (codes[:, ib] == 2) & (codes[:, ir] == 2)
-            for ic, it in supp:
-                cond_one &= (codes[:, ic] == 2) | (codes[:, it] == 0)
-                cond_zero |= (codes[:, ic] == 0) & (codes[:, it] == 2)
-            expected = np.where(cond_one, 2, np.where(cond_zero, 0, 1))
-            valid &= codes[:, ia] == expected
-        return valid[:, None]
-    return _three_valued(Labelling3, h.universe, levels, check)
+    check_universe(len(h.universe), bound, DEFAULT_LABELLING_BOUND)
+    return tuple(Labelling3(zip(h.universe, [THREE_VALUES[k] for k in codes]))
+                 for codes in _complete_codes(h.incidence))
 
 
 def select_labellings(h: HAFS, labellings: Iterable[Labelling3],

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import os
 import random
@@ -987,3 +988,49 @@ class TestReports:
         first = hafs.enumerate_adjacent_complete(hafs.parse(self.MUTUAL))[0]
         assert side in report["counterexample"]["explanation"]
         assert report["counterexample"][key] == first.to_json_obj()
+
+
+class TestLabellingSearchFaults:
+    # a fault planted in the labelling search shows in each check that compares
+    # the labelling family with a view of its own: the extension-derived
+    # labellings (T2), the models of the encoding (T_PL3) and the exact Gödel
+    # solutions (CORR_G); all frameworks have acyclic supports, so T2 applies
+    CORPUS = ("arg(a).",
+              "arg(a). arg(b). att(r1,a,b).",
+              "arg(a). arg(b). att(r1,a,b). att(r2,b,a).",
+              "arg(a). att(r1,a,a).",
+              "arg(a). arg(b). arg(c). supp(t1,c,a). att(r1,b,c).",
+              "arg(a). arg(b). arg(c). att(r1,a,b). att(r2,c,r1). supp(t1,a,c).")
+    SIDES = {"drop": {"T2": "extension-derived only", "T_PL3": "model only",
+                      "CORR_G": "ternary solution only"},
+             "add": {"T2": "adjacent only", "T_PL3": "labelling only",
+                     "CORR_G": "labelling only"}}
+
+    @pytest.mark.parametrize("fault", ["drop", "add"])
+    def test_each_cross_check_fails(self, monkeypatch, fault):
+        search = labellings._complete_codes
+        added = []
+
+        def planted(view):
+            found = search(view)
+            if fault == "drop":  # the last labelling in grid order
+                return found[:-1]
+            extra = next(list(codes) for codes in itertools.product(range(3), repeat=len(found[0]))
+                         if list(codes) not in found)
+            added.append(extra)
+            return sorted(found + [extra])
+
+        frameworks = [hafs.parse(text) for text in self.CORPUS]
+        for h in frameworks:
+            assert all(verify(h, t).passed for t in self.SIDES[fault]), hafs.serialize(h)
+        monkeypatch.setattr(labellings, "_complete_codes", planted)
+        for h in frameworks:
+            for theorem_id, side in self.SIDES[fault].items():
+                report = verify(h, theorem_id)
+                assert not report.passed, (hafs.serialize(h), theorem_id)
+                assert side in report.counterexample["explanation"], report.counterexample
+        if fault == "add":
+            assert len(added) == 3 * len(frameworks)
+            for h, codes in zip(frameworks, added[::3]):
+                labelling = hafs.Labelling3(zip(h.universe, [THREE_VALUES[k] for k in codes]))
+                assert not hafs.is_adjacent_complete(h, labelling), hafs.serialize(h)

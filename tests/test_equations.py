@@ -1,4 +1,5 @@
 import io
+import math
 import random
 from fractions import Fraction
 
@@ -381,9 +382,9 @@ class TestSolve:
 
 def both_paths(monkeypatch, system, **kwargs):
     """Reports of the per-start and of the batched driver, each forced."""
-    monkeypatch.setattr(equations, "_BATCH_MIN_ELEMENTS", len(system.universe) + 1)
+    monkeypatch.setattr(equations, "_BATCH_MIN_WORK", math.inf)
     scalar = solve_fixed_point(system, **kwargs)
-    monkeypatch.setattr(equations, "_BATCH_MIN_ELEMENTS", 0)
+    monkeypatch.setattr(equations, "_BATCH_MIN_WORK", 0)
     batched = solve_fixed_point(system, **kwargs)
     return scalar, batched
 
@@ -393,7 +394,7 @@ class TestBatchedStarts:
     def test_large_systems_match_per_start_runs(self, monkeypatch, seed):
         h = hafs.generate_random(120, 120, 60, seed=seed, support_acyclic=bool(seed),
                                  higher_order_prob=0.3)
-        assert len(h) > equations._BATCH_MIN_ELEMENTS
+        assert len(h) * 11 >= equations._BATCH_MIN_WORK
         for logic in (GODEL, PRODUCT, LUKASIEWICZ):
             scalar, batched = both_paths(monkeypatch, build_equations(h, logic), seed=seed)
             assert repr(batched) == repr(scalar)
@@ -412,7 +413,7 @@ class TestBatchedStarts:
 
     def test_stalled_product_run_reaches_anderson_from_the_array(self, monkeypatch):
         h = hafs.parse(TERNARIZE)
-        assert len(h) >= equations._BATCH_MIN_ELEMENTS
+        assert len(h) * 11 >= equations._BATCH_MIN_WORK
         system = build_equations(h, PRODUCT)
         stalled_at = []
         accelerate = equations._accelerate
@@ -425,8 +426,30 @@ class TestBatchedStarts:
         monkeypatch.setattr(equations, "_accelerate", spy)
         batched = solve_fixed_point(system)
         assert stalled_at == [200] * 11
-        monkeypatch.setattr(equations, "_BATCH_MIN_ELEMENTS", len(h) + 1)
+        monkeypatch.setattr(equations, "_BATCH_MIN_WORK", math.inf)
         assert repr(solve_fixed_point(system)) == repr(batched)
+
+    def test_elements_times_starts_picks_the_driver(self, monkeypatch):
+        # 20 elements: 3 starts (60) run one by one, 11 starts (220) as one array
+        h = hafs.generate_random(10, 5, 5, seed=3, support_acyclic=False, higher_order_prob=0.3)
+        assert len(h) == 20
+        batched_runs = []
+        run_batched = equations._run_batched
+
+        def spy(*args):
+            batched_runs.append(len(args[2]))
+            return run_batched(*args)
+
+        monkeypatch.setattr(equations, "_run_batched", spy)
+        for logic in (GODEL, PRODUCT, LUKASIEWICZ):
+            system = build_equations(h, logic)
+            for restarts, expected in ((0, []), (8, [11])):
+                batched_runs.clear()
+                chosen = repr(solve_fixed_point(system, restarts=restarts))
+                assert batched_runs == expected
+                with monkeypatch.context() as patch:
+                    scalar, batched = both_paths(patch, system, restarts=restarts)
+                assert chosen == repr(scalar) == repr(batched)
 
     def test_run_that_cannot_move_stalls_in_the_array_too(self, monkeypatch, self_attack):
         scalar, batched = both_paths(monkeypatch, build_equations(self_attack, PRODUCT),

@@ -1,3 +1,7 @@
+import collections
+import itertools
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,6 +9,7 @@ import hafs
 from hafs import (HALF, Labelling3, ONE, SizeBoundError, ValidationError, ZERO,
                   argument, attack_id, enumerate_adjacent_complete,
                   is_adjacent_complete, select_labellings, support_id)
+from hafs import labellings
 
 from helpers import brute_force_labellings, corpus
 
@@ -130,6 +135,118 @@ class TestEnumerate:
                     if not h.attackers_of(x) and not h.supporters_of(x)]
             for L in enumerate_adjacent_complete(h):
                 assert all(L[x] == ONE for x in free)
+
+
+def _drawn_text(seed: int) -> tuple[str, set[str]]:
+    """A framework of at most 9 elements whose relations may be self-loops,
+    close support cycles or have relations as endpoints, and which of those
+    it has; every third closes a two-support cycle."""
+    rng = random.Random(seed)
+    arguments = [f"a{i}" for i in range(rng.randint(1, 3))]
+    named = [rng.choice("rt") + str(i) for i in range(rng.randint(1, 4))]
+    names = arguments + named
+    relations = [(name, rng.choice([x for x in names if x != name]),
+                  rng.choice([x for x in names if x != name])) for name in named]
+    if seed % 3 == 0:  # two supports each way between two elements
+        x, y = rng.sample(names, 2)
+        relations += [("tx", x, y), ("ty", y, x)]
+    features = set()
+    supports = {}
+    for name, source, target in relations:
+        if source == target:
+            features.add("self-loop")
+        if not source.startswith("a") or not target.startswith("a"):
+            features.add("higher order")
+        if name[0] == "t" and source != target:
+            supports.setdefault(source, set()).add(target)
+    reach = {x: set(ys) for x, ys in supports.items()}
+    for _ in names:
+        for x in reach:
+            reach[x] |= {z for y in reach[x] for z in reach.get(y, ())}
+    if any(x in ys for x, ys in reach.items()):
+        features.add("support cycle")
+    text = " ".join([f"arg({a})." for a in arguments]
+                    + [f"{'att' if name[0] == 'r' else 'supp'}({name},{source},{target})."
+                       for name, source, target in relations])
+    return text, features
+
+
+class TestSearch:
+    def test_matches_brute_force_in_grid_order_on_loops_cycles_and_higher_order(self):
+        seen, checked = collections.Counter(), 0
+        for seed in range(300):
+            text, features = _drawn_text(seed)
+            try:
+                h = hafs.parse(text)
+            except ValidationError:  # a relation on itself, a duplicate or a cycle of relations
+                continue
+            assert enumerate_adjacent_complete(h) == brute_force_labellings(h), text
+            seen.update(features)
+            checked += 1
+        assert checked >= 150
+        assert set(seen) == {"self-loop", "support cycle", "higher order"}
+        assert min(seen.values()) >= 20, seen
+
+    def test_empty_framework_has_one_empty_labelling(self):
+        assert enumerate_adjacent_complete(hafs.parse("")) == (Labelling3({}),)
+
+    def test_eight_self_supported_arguments_at_the_default_bound(self):
+        h = hafs.parse(" ".join(f"arg(a{i}). supp(t{i},a{i},a{i})." for i in range(8)))
+        assert len(h) == 16
+        expected = tuple(Labelling3(zip(h.universe, values + (ONE,) * 8))
+                         for values in itertools.product((ZERO, HALF, ONE), repeat=8))
+        assert enumerate_adjacent_complete(h) == expected
+
+    def test_size_bound_errors_come_before_the_search(self, monkeypatch):
+        h = hafs.parse(" ".join(f"arg(a{i}). supp(t{i},a{i},a{i})." for i in range(8))
+                       + " arg(b).")
+        assert len(h) == 17
+        search = labellings._complete_codes
+
+        def unreachable(view):
+            raise AssertionError("searched past the size bound")
+
+        monkeypatch.setattr(labellings, "_complete_codes", unreachable)
+        with pytest.raises(SizeBoundError, match="^universe has 17 elements, bound is 16$"):
+            enumerate_adjacent_complete(h)
+        with pytest.raises(SizeBoundError, match="^universe has 17 elements, bound is 2$"):
+            enumerate_adjacent_complete(h, bound=2)
+        monkeypatch.setenv("HAFS_MAX_U", "16")
+        with pytest.raises(SizeBoundError, match="^universe has 17 elements, bound is 16$"):
+            enumerate_adjacent_complete(h)
+        monkeypatch.setenv("HAFS_MAX_U", "17")
+        monkeypatch.setattr(labellings, "_complete_codes", search)
+        assert len(enumerate_adjacent_complete(h)) == 3 ** 8
+
+    def test_forced_labels_need_no_branching(self, monkeypatch):
+        # without cycles every label is forced from the sources on, so the
+        # search visits one node; a mutual attack branches once, on a, into
+        # three children that each force b
+        nodes = []
+        propagate = labellings._propagate
+
+        def counted(*args):
+            nodes.append(args)
+            return propagate(*args)
+
+        monkeypatch.setattr(labellings, "_propagate", counted)
+        chain = hafs.parse(" ".join(f"arg(a{i}). att(r{i},a{i},a{i + 1})." for i in range(7))
+                           + " arg(a7).")
+        assert len(chain) == 15
+        assert enumerate_adjacent_complete(chain) == (Labelling3(
+            [(argument(f"a{i}"), ONE if i % 2 == 0 else ZERO) for i in range(8)]
+            + [(attack_id(f"r{i}"), ONE) for i in range(7)]),)
+        assert len(nodes) == 1
+        nodes.clear()
+        higher = hafs.parse("arg(a). arg(b). arg(c). arg(d). att(r1,a,b). supp(t1,b,c). "
+                            "att(r2,d,t1). supp(t2,a,r1).")
+        family = enumerate_adjacent_complete(higher)
+        assert len(family) == 1 and family == brute_force_labellings(higher)
+        assert len(nodes) == 1
+        nodes.clear()
+        mutual = hafs.parse("arg(a). arg(b). att(r1,a,b). att(r2,b,a).")
+        assert len(enumerate_adjacent_complete(mutual)) == 3
+        assert len(nodes) == 4
 
 
 class TestSelect:
