@@ -16,17 +16,17 @@ from collections.abc import Mapping
 from fractions import Fraction
 import numpy as np
 
-from .equations import (EquationSystem, _exact, _model_mask, _quarter_columns, _solution_mask,
-                        build_equations, enumerate_ternary_solutions, solve_fixed_point)
+from .equations import (EquationSystem, _FrontierOverBudget, _frontier, _level_check,
+                        _survivors, _three_valued, build_equations,
+                        enumerate_ternary_solutions, solve_fixed_point)
 from .errors import PreconditionError, ValidationError
 from .extensions import enumerate_extensions, extension_derived_labelling
-from .framework import HAFS, Incidence, is_support_acyclic, serialize
-from .labellings import HALF, ONE, THREE_VALUES, ZERO, Labelling3, _by_level, _frontier, \
-    _FrontierOverBudget, _survivors, _three_valued, enumerate_adjacent_complete, \
+from .framework import HAFS, is_support_acyclic, serialize
+from .labellings import HALF, ONE, ZERO, Labelling3, enumerate_adjacent_complete, \
     is_adjacent_complete
 from .limits import DEFAULT_LABELLING_BOUND, check_universe
-from .logic import And, Assignment, Formula, GODEL, L3, LogicSystem, LUKASIEWICZ, PRODUCT, \
-    compile_evaluator, encode_normal, get_logic, value_to_json_obj, variables
+from .logic import (Assignment, Formula, GODEL, L3, LogicSystem, LUKASIEWICZ, PRODUCT,
+                    compile_evaluator, encode_normal, get_logic, value_to_json_obj)
 
 FLOAT_TERNARIZE_TOL = 1e-6
 FLOAT_RESIDUAL_TOL = 1e-12
@@ -71,43 +71,27 @@ def embed(labelling: Labelling3) -> Assignment:
 # -- three-valued model enumeration ------------------------------------------
 
 
-def _conjuncts(formula: Formula) -> tuple[Formula, ...]:
-    return formula.children if isinstance(formula, And) else (formula,)
-
-
-_THREE_FLOATS = np.array([float(v) for v in THREE_VALUES])
-
-
 def enumerate_pl3_models(h: HAFS, bound: int | None = None, *,
                          formula: Formula | None = None) -> tuple[Labelling3, ...]:
     """All three-valued assignments satisfying the encoded formula
     (``formula``, ``encode_normal(h)`` unless the caller already has it).
 
-    Frontier sweep over the 3^|U| grid: elements are assigned in universe
-    order, and a partial assignment is dropped as soon as a conjunct of
-    the formula whose variables are all assigned is not 1 under the
-    three-valued connectives, evaluated by :func:`compile_evaluator` on
-    the floats 0, 0.5 and 1, on which every L3 operation is exact.
-    Models come out in the order of the full grid.  Only the formula is
-    read, never the labelling conditions, so set comparisons with the
-    labelling enumeration are a real cross-check.
+    Frontier sweep over the 3^|U| grid on the model side of the level plan
+    :func:`hafs.equations._level_check`: elements are assigned in universe
+    order, and a partial assignment is dropped as soon as a conjunct whose
+    variables are all assigned is not 1 under L3, folded by the exact
+    kernels on quarter numerators 0, 2 and 4 (min, 1 - x, the Łukasiewicz
+    implication, and max for disjunction, so ``formula`` may be any formula
+    that :func:`hafs.logic.evaluate` reads under L3).  Models come out in
+    the order of the full grid.  Only the formula is read, never the
+    labelling conditions, so set comparisons with the labelling search are
+    a real cross-check.
     """
-    order = h.universe
-    check_universe(len(order), bound, DEFAULT_LABELLING_BOUND)
-
+    check_universe(len(h.universe), bound, DEFAULT_LABELLING_BOUND)
     if formula is None:
         formula = encode_normal(h)
-    levels = [[compile_evaluator(c, L3) for c in level]
-              for level in _by_level(order, _conjuncts(formula), variables)]
-
-    def check(codes, conjuncts):
-        values = _THREE_FLOATS[codes]
-        columns = {e: values[:, j] for j, e in enumerate(order[:codes.shape[1]])}
-        holds = np.ones(len(codes), dtype=bool)
-        for conjunct in conjuncts:
-            holds &= conjunct(columns) == 1.0
-        return holds[:, None]
-    return _three_valued(Labelling3, order, levels, check)
+    levels, check = _level_check(h.incidence, {L3.name: L3}, formula, scale=2)
+    return _three_valued(Labelling3, h.universe, levels, check)
 
 
 # -- verification reports ------------------------------------------------------
@@ -288,46 +272,6 @@ def _check_pl3_models(inputs: _Inputs, bound: int) -> VerificationReport:
 _EQ_CHUNK_ROWS = 2 ** 14
 
 
-def _grid_verdicts(formulas, elements, logic: LogicSystem, view: Incidence, positions,
-                   codes: np.ndarray, dtype):
-    """Model and solution masks of a chunk of quarter-grid rows: whether
-    every formula is 1, and whether the equation of each element at ``elements`` holds."""
-    columns = _quarter_columns(positions, codes, logic, dtype)
-    one = np.ones(len(codes), dtype=dtype)
-    return (_model_mask(formulas, lambda e: columns[view.position[e]], logic, one),
-            _solution_mask(view, elements, logic, columns, one))
-
-
-def _level_check(formula: Formula, view: Incidence, logics: dict, stopped):
-    """(levels, check) for :func:`_frontier`: the conjuncts and the element
-    positions by level, each with the positions it reads and its side (0 for
-    a conjunct, 1 for an equation), and their (rows, 2 * len(logics))
-    verdicts, the model and the solution column of each logic of ``logics``
-    (id to logic) in turn.  A logic whose id is in ``stopped`` when a check
-    runs is not evaluated: both its columns read False.
-
-    A check gathers only the columns that the items it tests read, so a
-    sampled chunk, tested level by level, pays about one gather per
-    element and two per relation, not one per column up to each level.
-    """
-    items = [({view.position[e] for e in variables(f)}, 0, f) for f in _conjuncts(formula)]
-    items += [({a}.union(*attacks, *supports), 1, a)
-              for a, (attacks, supports) in enumerate(view.incoming)]
-    levels = _by_level(range(len(view.incoming)), items, lambda item: item[0])
-
-    def check(codes, items):
-        fs = [x for _, side, x in items if side == 0]
-        elements = [x for _, side, x in items if side == 1]
-        positions = sorted(set().union(*(cols for cols, _, _ in items)))
-        verdicts = np.zeros((len(codes), 2 * len(logics)), dtype=bool)
-        for i, (t, logic) in enumerate(logics.items()):
-            if t not in stopped:
-                verdicts[:, 2 * i], verdicts[:, 2 * i + 1] = _exact(
-                    _grid_verdicts, fs, elements, logic, view, positions, codes)
-        return verdicts
-    return levels, check
-
-
 def _draw_codes(rng: random.Random, count: int) -> np.ndarray:
     """``[rng.randrange(5) for _ in range(count)]`` as an int8 array, leaving
     ``rng`` in the same state as that list would.
@@ -432,8 +376,9 @@ def _check_equation_equivalence(inputs: _Inputs, theorem_ids, grid_cap: int,
     formula = inputs.formula()
     systems = {t: inputs.system(_EQ_LOGICS[t]) for t in theorem_ids}
     reports = {}
-    levels, check = _level_check(formula, h.incidence,
-                                 {t: system.logic for t, system in systems.items()}, reports)
+    levels, check = _level_check(h.incidence,
+                                 {t: system.logic for t, system in systems.items()},
+                                 formula, equations=True, stopped=reports)
     sides = 2 * len(systems)
 
     def failed(t, explanation, assignment):

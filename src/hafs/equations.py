@@ -14,18 +14,18 @@ import itertools
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from typing import Sequence
 
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
 from .framework import HAFS, ElementId, Incidence
-from .labellings import _by_level, _three_valued
 from .limits import DEFAULT_TERNARY_BOUND, check_universe
-from .logic import (_TNORMS_F, Assignment, LogicSystem, _connectives, _fold, _impl_godel,
-                    _impl_lukasiewicz, _standard_negation, _tnorm_lukasiewicz, _tnorm_min,
-                    _tnorm_product, value_to_json_obj)
+from .logic import (_TNORMS_F, THREE_VALUES, And, Assignment, Formula, LogicSystem,
+                    _connectives, _fold, _impl_godel, _impl_lukasiewicz, _standard_negation,
+                    _tnorm_lukasiewicz, _tnorm_min, _tnorm_product, value_to_json_obj,
+                    variables)
 
 
 def h_function(logic: LogicSystem,
@@ -526,10 +526,10 @@ def _snap(apply, x: list[float], gap: float, tolerance: float) -> tuple[list[flo
 
 # -- exact kernels ---------------------------------------------------------------
 #
-# Grid values are k/4 for codes k = 0..4.  Each fuzzy logic holds the values
-# of a chunk of grid rows in one exact format:
-# - Gödel and Łukasiewicz hold k/4 as its quarter numerator k, in the codes'
-#   own int8 arrays.  The quarter grid is closed under 1 - x, min,
+# Grid values are k/4 for codes k = 0..4.  Each built-in logic holds the
+# values of a chunk of grid rows in one exact format:
+# - Gödel, Łukasiewicz and L3 hold k/4 as its quarter numerator k, in the
+#   codes' own int8 arrays.  The quarter grid is closed under 1 - x, min, max,
 #   max(0, x + y - 1), the Gödel implication and min(1, 1 - m + n), so every
 #   value is a quarter and every intermediate lies in [0, 8].
 # - Product holds a value as a pair of integer arrays (numerator,
@@ -539,8 +539,8 @@ def _snap(apply, x: list[float], gap: float, tolerance: float) -> tuple[list[flo
 #   in int64.  Only a result with a denominator of 2^31 or more is reduced by
 #   its gcd, and a chunk still that wide is recomputed on Python ints
 #   (dtype=object) through the same kernels, where every result is reduced.
-# The equations (_solution_mask) and the encoded formula (_model_mask) read
-# values in these formats through these kernels only.
+# The equations (_solution_mask) and the formulas (_grid_verdicts) read values
+# in these formats through these kernels only.
 
 _INT64_SAFE = 2 ** 31
 _QUARTER_NUM = np.array([0, 1, 1, 3, 1], dtype=np.int64)
@@ -576,7 +576,8 @@ def _impl_lukasiewicz_4(m, n):
 
 
 # keyed by the built-in t-norms and implications under which the quarter
-# grid is closed; every built-in negation is 1 - x
+# grid is closed (L3 reads min and the Łukasiewicz implication); every
+# built-in negation is 1 - x
 _TNORMS_4 = {_tnorm_min: np.minimum, _tnorm_lukasiewicz: _tnorm_lukasiewicz_4}
 _IMPLICATIONS_4 = {_impl_godel: _impl_godel_4, _impl_lukasiewicz: _impl_lukasiewicz_4}
 
@@ -613,10 +614,13 @@ def _quarters(logic: LogicSystem) -> bool:
 
 
 def _exact_ops(logic: LogicSystem, one: np.ndarray) -> dict:
-    """The exact connectives of a fuzzy ``logic`` in its format, on chunks
-    of ``len(one)`` rows; disjunction is not interpreted."""
+    """The exact connectives of ``logic`` in its format, on chunks of
+    ``len(one)`` rows, or of any length for a ``one`` of length 1, which
+    broadcasts; disjunction is max under a three-valued logic and is not
+    interpreted under a fuzzy one."""
     if _quarters(logic):
-        return _connectives(logic.name, 4, 0, _neg_4, _TNORMS_4[logic.tnorm], None,
+        join = np.maximum if logic.value_domain == "three_valued" else None
+        return _connectives(logic.name, 4, 0, _neg_4, _TNORMS_4[logic.tnorm], join,
                             _IMPLICATIONS_4[logic.implication])
     return _connectives(logic.name, (one, one), (np.zeros_like(one), one), _neg_q,
                         _tnorm_product_q, None, _impl_product_q)
@@ -631,60 +635,215 @@ def _quarter_columns(positions, codes: np.ndarray, logic: LogicSystem, dtype) ->
     return {j: (num.take(codes[:, j]), den.take(codes[:, j])) for j in positions}
 
 
-def _model_mask(formulas, leaf, logic: LogicSystem, one: np.ndarray) -> np.ndarray:
-    """Rows of a chunk on which every formula of ``formulas`` is 1, with
-    ``leaf(element)`` the exact value of each variable."""
-    ops, quarters = _exact_ops(logic, one), _quarters(logic)
-    mask = np.ones(len(one), dtype=bool)
-    for f in formulas:
-        value = _fold(f, leaf, ops)
-        mask &= value == 4 if quarters else value[0] == value[1]
-    return mask
-
-
 def _solution_mask(view: Incidence, elements, logic: LogicSystem, columns: dict,
-                   one: np.ndarray) -> np.ndarray:
+                   one: np.ndarray):
     """Rows of a chunk on which the equation of each element at
-    ``elements`` holds: its value equals the fold of its incoming pairs."""
+    ``elements`` holds: its value equals the fold of its incoming pairs;
+    True, for every row, when there is none."""
     quarters = _quarters(logic)
     if quarters:
         neg, tnorm, unit = _neg_4, _TNORMS_4[logic.tnorm], 4
     else:
         neg, tnorm, unit = _neg_q, _tnorm_product_q, (one, one)
-    mask = np.ones(len(one), dtype=bool)
+    mask = True
     for a in elements:
         attacks, supports = view.incoming[a]
         terms = [neg(tnorm(columns[b], columns[r])) for b, r in attacks]
         terms += [neg(tnorm(neg(columns[c]), columns[t])) for c, t in supports]
         fold = reduce(tnorm, terms) if terms else unit
         value = columns[a]
-        mask &= value == fold if quarters else value[0] * fold[1] == fold[0] * value[1]
+        mask = mask & (value == fold if quarters else value[0] * fold[1] == fold[0] * value[1])
     return mask
+
+
+_ONE = np.ones(1, dtype=np.int64)  # Product's 1, a pair part that broadcasts over any chunk
+
+
+def _grid_verdicts(formulas, elements, logic: LogicSystem, ops: dict, view: Incidence,
+                   positions, codes: np.ndarray, dtype):
+    """Model and solution verdicts of a chunk of quarter-grid rows under
+    ``logic``, with ``ops`` its :func:`_exact_ops` table: whether every
+    formula of ``formulas`` is 1, and whether the equation of each element
+    at ``elements`` holds; each is True, for every row, when there is none."""
+    columns = _quarter_columns(positions, codes, logic, dtype)
+    quarters = _quarters(logic)
+    model = True
+    for f in formulas:
+        value = _fold(f, lambda e: columns[view.position[e]], ops)
+        model = model & (value == 4 if quarters else value[0] == value[1])
+    return model, _solution_mask(view, elements, logic, columns, _ONE)
+
+
+# -- frontier sweep --------------------------------------------------------------
+#
+# A solution of an equation system is a row on which each element's equation
+# holds.  The encoded formula is a conjunction, which takes the top value
+# exactly when every conjunct does: under min, and under every built-in
+# t-norm, which lies below min.  So the three grid sweeps (the PL3 models, the
+# exact ternary solutions and the EQ_* quarter grid) assign the universe in
+# order, a few elements at a time, and test each equation or conjunct once
+# its last variable is assigned; a partial row that fails is dropped with
+# every row that extends it.  Rows extend in lexicographic order, so the
+# survivors come out in the order of the full grid.  All three read one level
+# plan (_level_check) and the exact kernels above.  The complete labellings
+# are not swept: they come from the search of labellings._complete_codes,
+# which shares no code with these sweeps, so T_PL3 and CORR_G still compare
+# two code paths.
+
+_FRONTIER_STEP = 2 ** 8  # a step adds columns while the chunk stays this small
+_FRONTIER_ROWS = 2 ** 14  # partial rows held per chunk
+
+
+class _FrontierOverBudget(Exception):
+    """A budgeted :func:`_frontier` would grow more rows than its budget."""
+
+
+def grid_codes(width: int, base: int) -> np.ndarray:
+    """Base-``base`` digits of all ``base ** width`` grid rows in order,
+    first column most significant; column-major, so each column is
+    contiguous.  Three-valued grids use base 3, code k standing for
+    ``THREE_VALUES[k]``."""
+    return np.indices((base,) * width, dtype=np.int8).reshape(width, base ** width).T
+
+
+# the block of each step of _frontier, made once; it is only ever read
+_step_block = cache(grid_codes)
+
+
+def _by_level(order, items, variables_of) -> list[list]:
+    """``items`` by level: level k holds those whose last variable in
+    ``order`` is the k-th, level 0 those without variables."""
+    position = {e: j for j, e in enumerate(order)}
+    levels: list[list] = [[] for _ in range(len(order) + 1)]
+    for item in items:
+        levels[max((position[e] + 1 for e in variables_of(item)), default=0)].append(item)
+    return levels
+
+
+def _survivors(check, codes, alive, items):
+    """``codes`` and ``alive`` after ``check(codes, items)``, unless there
+    are no ``items``: ``alive`` is and-ed with what it returns, and the rows
+    on which no side holds any more are dropped."""
+    if not items:
+        return codes, alive
+    alive = alive & check(codes, items)
+    keep = alive.any(axis=1)
+    return codes[keep], alive[keep]
+
+
+def _frontier(width: int, base: int, sides: int, levels, check, budget=None):
+    """Rows of the base-``base`` grid over ``width`` columns on which some
+    side still holds, in grid order, as (codes, alive) chunks: the PL3
+    models, the exact ternary solutions and the EQ_* quarter grid.
+
+    Each step extends a chunk of at most ``_FRONTIER_ROWS`` partial rows,
+    depth-first so that memory stays bounded, by one column, or by more
+    while the result stays within ``_FRONTIER_STEP`` rows.  Then
+    ``check(codes, items)`` tests the rows against the items of the
+    ``levels`` just completed (see :func:`_level_check`), per row and side,
+    in an array that broadcasts to (rows, sides); ``alive`` is the
+    conjunction of these over all levels so far.  A row is dropped once
+    no side holds.
+
+    With a ``budget``, raises :class:`_FrontierOverBudget` before the rows
+    grown, summed over the steps, would exceed it.
+    """
+    stack = [_survivors(check, np.zeros((1, 0), dtype=np.int8),
+                        np.ones((1, sides), dtype=bool), levels[0])]
+    while stack:
+        codes, alive = stack.pop()
+        rows, k = codes.shape
+        if not rows:
+            continue
+        if k == width:
+            yield codes, alive
+            continue
+        step = 1
+        while k + step < width and rows * base ** (step + 1) <= _FRONTIER_STEP:
+            step += 1
+        block = _step_block(step, base)
+        if budget is not None:
+            budget -= rows * len(block)
+            if budget < 0:
+                raise _FrontierOverBudget
+        grown = np.empty((rows * len(block), k + step), dtype=np.int8, order="F")
+        grown[:, :k] = np.repeat(codes, len(block), axis=0)
+        grown[:, k:] = np.tile(block, (rows, 1))
+        codes, alive = _survivors(check, grown, np.repeat(alive, len(block), axis=0),
+                                  [x for level in levels[k + 1:k + step + 1] for x in level])
+        stack.extend((codes[s:s + _FRONTIER_ROWS], alive[s:s + _FRONTIER_ROWS])
+                     for s in reversed(range(0, len(codes), _FRONTIER_ROWS)))
+
+
+def _three_valued(make, order, levels, check) -> tuple:
+    """``make`` of each row of the {0, 1/2, 1} grid over ``order`` that
+    :func:`_frontier` keeps, read as (element, value) pairs, in grid order."""
+    return tuple(make(zip(order, [THREE_VALUES[k] for k in row]))
+                 for codes, _ in _frontier(len(order), 3, 1, levels, check)
+                 for row in codes.tolist())
+
+
+def _level_check(view: Incidence, logics: dict, formula: Formula | None = None,
+                 equations: bool = False, scale: int = 1, stopped=()):
+    """(levels, check) for :func:`_frontier` on codes that stand for the
+    quarter numerators ``scale * code`` (2 on the {0, 1/2, 1} grid, 1 on
+    the quarter grid), with each logic's fold table made once per plan.
+
+    The items are the conjuncts of ``formula`` unless it is None (the model
+    side) and, if ``equations``, each element's equation (the solution
+    side), each at the level of the last position it reads.  A check
+    returns the verdicts of its rows on the items it is given as a (rows,
+    sides * len(logics)) array: for each logic of ``logics`` (id to logic)
+    in turn, the columns of the sides tested, model first.  A logic whose
+    id is in ``stopped`` when a check runs is not evaluated: its columns
+    read False.  A check gathers only the columns that its items read, so a
+    sampled chunk, tested level by level, pays about one gather per element
+    and two per relation, not one per column up to each level.
+    """
+    conjuncts = () if formula is None else \
+        formula.children if isinstance(formula, And) else (formula,)
+    items = [({view.position[e] for e in variables(f)}, 0, f) for f in conjuncts]
+    if equations:
+        items += [({a}.union(*attacks, *supports), 1, a)
+                  for a, (attacks, supports) in enumerate(view.incoming)]
+    levels = _by_level(range(len(view.incoming)), items, lambda item: item[0])
+    kept = slice(int(formula is None), 1 + equations)  # the sides tested, of (model, solution)
+    sides = kept.stop - kept.start
+    plans = [(t, logic, None if formula is None else _exact_ops(logic, _ONE))
+             for t, logic in logics.items()]
+
+    def check(codes, items):
+        formulas = [x for _, side, x in items if side == 0]
+        elements = [x for _, side, x in items if side == 1]
+        positions = set().union(*(cols for cols, _, _ in items))
+        if scale != 1:
+            codes = scale * codes
+        verdicts = np.zeros((len(codes), sides * len(plans)), dtype=bool)
+        for i, (t, logic, ops) in enumerate(plans):
+            if t not in stopped:
+                pair = _exact(_grid_verdicts, formulas, elements, logic, ops, view, positions,
+                              codes)
+                for j, verdict in enumerate(pair[kept]):
+                    verdicts[:, sides * i + j] = verdict
+        return verdicts
+    return levels, check
 
 
 def enumerate_ternary_solutions(system: EquationSystem,
                                 bound: int | None = None) -> tuple[Assignment, ...]:
     """All exact solutions over the {0, 1/2, 1} grid, in grid order.
 
-    Frontier sweep (:func:`hafs.labellings._frontier`) that tests each
-    equation with the exact kernels on quarter codes 0, 2 and 4; the order
-    is lexicographic with value order 0 < 1/2 < 1.  Only the built-in
-    t-norms under the negation 1 - x have these kernels; any other logic
-    raises :class:`PreconditionError`.
+    Frontier sweep (:func:`_frontier`) on the solution side of
+    :func:`_level_check`: each equation is tested with the exact kernels
+    on quarter numerators 0, 2 and 4; the order is lexicographic with value
+    order 0 < 1/2 < 1.  Only the built-in t-norms under the negation 1 - x
+    have these kernels; any other logic raises :class:`PreconditionError`.
     """
     logic, order = system.logic, system.universe
     check_universe(len(order), bound, DEFAULT_TERNARY_BOUND)
     exact = _quarters(logic) or logic.tnorm is _tnorm_product
     if not exact or logic.negation is not _standard_negation:
         raise PreconditionError(f"logic {logic.name} has no exact kernel")
-    view = system.framework.incidence
-    levels = _by_level(range(len(order)), range(len(order)),
-                       lambda a: {a}.union(*view.incoming[a][0], *view.incoming[a][1]))
-
-    def check(codes, elements):
-        def mask(dtype):
-            columns = _quarter_columns(range(codes.shape[1]), 2 * codes, logic, dtype)
-            return _solution_mask(view, elements, logic, columns,
-                                  np.ones(len(codes), dtype=dtype))
-        return _exact(mask)[:, None]
+    levels, check = _level_check(system.framework.incidence, {logic.name: logic},
+                                 equations=True, scale=2)
     return _three_valued(Assignment, order, levels, check)

@@ -38,7 +38,7 @@ cycles and builds the incidence.
 Every semantics reads the same structure: each element's incoming attacks
 (attacker, attack) and supports (supporter, support).  ``HAFS.incidence``
 holds it once per framework as integer positions into ``universe``; the
-encoding, the equations, the labelling sweep, the extension search, the
+encoding, the equations, the labelling search, the extension search, the
 fixed-point solver and the support-cycle check all read that one view.
 """
 

@@ -14,8 +14,6 @@ from collections.abc import Mapping
 from fractions import Fraction
 from typing import Iterable, Literal
 
-import numpy as np
-
 from .errors import ValidationError
 from .framework import HAFS, ElementId, Incidence
 from .limits import DEFAULT_LABELLING_BOUND, check_universe
@@ -24,112 +22,6 @@ from .logic import THREE_VALUES, Assignment
 ZERO, HALF, ONE = THREE_VALUES
 
 Semantics = Literal["grounded", "preferred", "stable"]
-
-
-def grid_codes(width: int, base: int) -> np.ndarray:
-    """Base-``base`` digits of all ``base ** width`` grid rows in order,
-    first column most significant; column-major, so each column is
-    contiguous.  Three-valued grids use base 3, code k standing for
-    ``THREE_VALUES[k]``."""
-    return np.indices((base,) * width, dtype=np.int8).reshape(width, base ** width).T
-
-
-# -- frontier sweep --------------------------------------------------------------
-#
-# A solution of an equation system is a row on which each element's equation
-# holds.  The encoded formula is a conjunction, which takes the top value
-# exactly when every conjunct does: under min, and under every built-in
-# t-norm, which lies below min.  So the three grid sweeps (the PL3 models, the
-# exact ternary solutions and the EQ_* quarter grid) assign the universe in
-# order, a few elements at a time, and test each equation or conjunct once
-# its last variable is assigned; a partial row that fails is dropped with
-# every row that extends it.  Rows extend in lexicographic order, so the
-# survivors come out in the order of the full grid.  A sampled EQ_* grid
-# skips its drawn rows when the whole grid's frontier, within a budget, finds
-# no row on which a model and a solution verdict differ, and otherwise tests
-# them level by level.  The complete labellings are not swept: they come from
-# the search of :func:`_complete_codes`, which shares no code with these
-# sweeps, so T_PL3 and CORR_G still compare two code paths.
-
-_FRONTIER_STEP = 2 ** 8  # a step adds columns while the chunk stays this small
-_FRONTIER_ROWS = 2 ** 14  # partial rows held per chunk
-
-
-class _FrontierOverBudget(Exception):
-    """A budgeted :func:`_frontier` would grow more rows than its budget."""
-
-
-def _by_level(order, items, variables_of) -> list[list]:
-    """``items`` by level: level k holds those whose last variable in
-    ``order`` is the k-th, level 0 those without variables."""
-    position = {e: j for j, e in enumerate(order)}
-    levels: list[list] = [[] for _ in range(len(order) + 1)]
-    for item in items:
-        levels[max((position[e] + 1 for e in variables_of(item)), default=0)].append(item)
-    return levels
-
-
-def _survivors(check, codes, alive, items):
-    """``codes`` and ``alive`` after ``check(codes, items)``, unless there
-    are no ``items``: ``alive`` is and-ed with what it returns, and the rows
-    on which no side holds any more are dropped."""
-    if not items:
-        return codes, alive
-    alive = alive & check(codes, items)
-    keep = alive.any(axis=1)
-    return codes[keep], alive[keep]
-
-
-def _frontier(width: int, base: int, sides: int, levels, check, budget=None):
-    """Rows of the base-``base`` grid over ``width`` columns on which some
-    side still holds, in grid order, as (codes, alive) chunks: the PL3
-    models, the exact ternary solutions and the EQ_* quarter grid.
-
-    Each step extends a chunk of at most ``_FRONTIER_ROWS`` partial rows,
-    depth-first so that memory stays bounded, by one column, or by more
-    while the result stays within ``_FRONTIER_STEP`` rows.  Then
-    ``check(codes, items)`` tests the rows against the items of the
-    ``levels`` just completed (see :func:`_by_level`), per row and side,
-    in an array that broadcasts to (rows, sides); ``alive`` is the
-    conjunction of these over all levels so far.  A row is dropped once
-    no side holds.
-
-    With a ``budget``, raises :class:`_FrontierOverBudget` before the rows
-    grown, summed over the steps, would exceed it.
-    """
-    stack = [_survivors(check, np.zeros((1, 0), dtype=np.int8),
-                        np.ones((1, sides), dtype=bool), levels[0])]
-    while stack:
-        codes, alive = stack.pop()
-        rows, k = codes.shape
-        if not rows:
-            continue
-        if k == width:
-            yield codes, alive
-            continue
-        step = 1
-        while k + step < width and rows * base ** (step + 1) <= _FRONTIER_STEP:
-            step += 1
-        block = grid_codes(step, base)
-        if budget is not None:
-            budget -= rows * len(block)
-            if budget < 0:
-                raise _FrontierOverBudget
-        grown = np.empty((rows * len(block), k + step), dtype=np.int8, order="F")
-        grown[:, :k] = np.repeat(codes, len(block), axis=0)
-        grown[:, k:] = np.tile(block, (rows, 1))
-        codes, alive = _survivors(check, grown, np.repeat(alive, len(block), axis=0),
-                                  [x for level in levels[k + 1:k + step + 1] for x in level])
-        stack.extend((codes[s:s + _FRONTIER_ROWS], alive[s:s + _FRONTIER_ROWS])
-                     for s in reversed(range(0, len(codes), _FRONTIER_ROWS)))
-
-
-def _three_valued(make, order, levels, check) -> tuple:
-    """``make`` of each row of the {0, 1/2, 1} grid over ``order`` that
-    :func:`_frontier` keeps, read as (element, value) pairs, in grid order."""
-    return tuple(make(zip(order, [THREE_VALUES[k] for k in row]))
-                 for codes, _ in _frontier(len(order), 3, 1, levels, check)
-                 for row in codes.tolist())
 
 
 class Labelling3(Assignment):
@@ -198,7 +90,8 @@ def is_adjacent_complete(h: HAFS, labelling: Labelling3) -> bool:
 # them by 16 * kind + 4 * first input + second input, kind 0 for an attack pair
 # and 1 for a support pair.  The min of the terms' lowest values is the lowest
 # label; the min of their highest values bounds the label from above, exactly
-# once every input is decided.
+# once every input is decided.  The search shares no code with the grid sweeps
+# of hafs.equations, so T_PL3 and CORR_G compare two code paths.
 
 _FREE = 3
 _LOWEST = (0, 1, 2, 0)

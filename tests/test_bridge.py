@@ -20,15 +20,24 @@ from hafs import bridge, equations, labellings
 from hafs.bridge import FLOAT_RESIDUAL_TOL, VerificationReport
 from hafs.cli import run
 from hafs.equations import (_IMPLICATIONS_4, _TNORMS_4, EquationSystem, _TooWide, _exact_ops,
-                           _neg_4, _quarter_columns, _reduced, _solution_mask)
-from hafs.labellings import HALF, ONE, THREE_VALUES, ZERO, grid_codes
-from hafs.logic import Bottom, Top, _fold
+                           _neg_4, _quarter_columns, _reduced, _solution_mask, grid_codes)
+from hafs.labellings import HALF, ONE, THREE_VALUES, ZERO
+from hafs.logic import And, Bottom, Iff, Implies, Not, Or, Top, Var, _CHILDREN, _fold
 
 from helpers import (corpus, equation_equivalence_report, exact_fractions, pl3_models,
                      reference_reduced)
 
 A, B = argument("a"), argument("b")
 T1 = support_id("t1")
+
+
+def _nodes(f):
+    """Every node of ``f``, parents before children."""
+    todo = [f]
+    while todo:
+        node = todo.pop()
+        yield node
+        todo.extend(_CHILDREN[type(node)](node))
 
 
 class TestTernarize:
@@ -91,6 +100,44 @@ class TestPl3ModelEnumeration:
 
     def test_empty_framework_has_one_model(self):
         assert enumerate_pl3_models(hafs.parse("")) == (hafs.Labelling3({}),)
+
+    def test_formulas_of_every_node_kind_match_the_full_grid(self):
+        # given formulas of every node kind (empty and singleton conjunctions
+        # and disjunctions too), at the top and nested: the models are the
+        # rows of the full grid, in grid order, on which evaluate gives 1
+        # under L3, so disjunction is read as max
+        def formula(rng, elements, depth):
+            if depth == 0 or rng.random() < 0.2:
+                return rng.choice([Top(), Bottom()] + [Var(e) for e in elements] * 3)
+            kind = rng.choice([Not, And, Or, Implies, Iff])
+            if kind is Not:
+                return Not(formula(rng, elements, depth - 1))
+            if kind in (And, Or):
+                return kind(tuple(formula(rng, elements, depth - 1)
+                                  for _ in range(rng.randint(0, 3))))
+            return kind(formula(rng, elements, depth - 1), formula(rng, elements, depth - 1))
+
+        seen, counts = set(), []
+        for i, (h, _) in enumerate(corpus(20, max_u=5, seed_base=19_000)):
+            rng = random.Random(i)
+            for _ in range(6):
+                f = formula(rng, h.universe, 4)
+                if rng.random() < 0.5:  # a conjunction of several at the top
+                    f = And((f, formula(rng, h.universe, 3), Or((formula(rng, h.universe, 2),
+                                                                  Var(h.universe[-1])))))
+                seen |= {type(node) for node in _nodes(f)}
+                points = [dict(zip(h.universe, combo))
+                          for combo in itertools.product(THREE_VALUES, repeat=len(h))]
+                expected = tuple(hafs.Labelling3(point) for point in points
+                                 if evaluate(f, point, hafs.L3) == 1)
+                assert enumerate_pl3_models(h, formula=f) == expected, (hafs.serialize(h), f)
+                counts.append(len(expected))
+        assert seen == {Var, Top, Bottom, Not, And, Or, Implies, Iff}
+        assert 0 in counts and max(counts) > 3 ** 4
+        a, b = hafs.argument("a"), hafs.argument("b")
+        h = hafs.parse("arg(a). arg(b).")
+        assert [(m[a], m[b]) for m in enumerate_pl3_models(h, formula=Or((Var(a), Var(b))))] \
+            == [(v, ONE) for v in THREE_VALUES[:2]] + [(ONE, v) for v in THREE_VALUES]
 
 
 class TestVerifyExamples:
@@ -292,13 +339,13 @@ class TestExactGrid:
                         for i in range(10))
         h = hafs.parse("arg(a). " + text)
         calls = []
-        verdicts = bridge._grid_verdicts
+        verdicts = equations._grid_verdicts
 
         def spy(*args):
             calls.append((args[-1], args[-2]))
             return verdicts(*args)
 
-        monkeypatch.setattr(bridge, "_grid_verdicts", spy)
+        monkeypatch.setattr(equations, "_grid_verdicts", spy)
         report = verify(h, "EQ_P", grid_cap=2000)
         assert report.passed, report.counterexample
         assert report.notes == {"grid": "sampled(2000)", "float_samples": 200}
@@ -326,17 +373,17 @@ class TestExactGrid:
         targets = np.array(points, dtype=np.int8)
         inverted = np.array([not system.is_exact_solution(
             {e: Fraction(k, 4) for e, k in zip(h.universe, point)}) for point in points])
-        verdicts = bridge._grid_verdicts
+        verdicts = equations._grid_verdicts
 
-        def flipped(formulas, elements, logic, view, positions, codes, dtype):
-            model, solution = verdicts(formulas, elements, logic, view, positions, codes,
+        def flipped(formulas, elements, logic, ops, view, positions, codes, dtype):
+            model, solution = verdicts(formulas, elements, logic, ops, view, positions, codes,
                                        dtype)
             if codes.shape[1] == len(h):
                 hits = (codes[:, None, :] == targets).all(axis=2)
                 solution = np.where(hits.any(axis=1), (hits & inverted).any(axis=1), solution)
             return model, solution
 
-        monkeypatch.setattr(bridge, "_grid_verdicts", flipped)
+        monkeypatch.setattr(equations, "_grid_verdicts", flipped)
 
     @staticmethod
     def _expected_explanation(h, point):
@@ -475,8 +522,8 @@ class TestEquationOracle:
                 if model or solution:
                     expected.append((codes, model, solution))
             rng = random.Random(i)
-            levels, check = bridge._level_check(formula, h.incidence,
-                                                {theorem_id: system.logic}, ())
+            levels, check = equations._level_check(h.incidence, {theorem_id: system.logic},
+                                                   formula, equations=True)
             rows = [(tuple(codes), model, solution)
                     for drawn in bridge._drawn_chunks(bridge._draw_codes, rng, len(h), 700)
                     for codes, (model, solution) in zip(*(
@@ -708,10 +755,10 @@ class TestSharedInputs:
         (codes, whether they solve the equations) in every full-width call
         of ``_grid_verdicts`` (as ``TestExactGrid`` does), and the residual
         verdict of the float sample numbered in ``sample_by_logic``."""
-        verdicts, residuals = bridge._grid_verdicts, EquationSystem.residuals
+        verdicts, residuals = equations._grid_verdicts, EquationSystem.residuals
 
-        def flipped(formulas, elements, logic, view, positions, codes, dtype):
-            model, solution = verdicts(formulas, elements, logic, view, positions, codes,
+        def flipped(formulas, elements, logic, ops, view, positions, codes, dtype):
+            model, solution = verdicts(formulas, elements, logic, ops, view, positions, codes,
                                        dtype)
             for target, truth in rows_by_logic.get(logic, ()):
                 if codes.shape[1] == len(target):
@@ -725,7 +772,7 @@ class TestSharedInputs:
                 gaps[row] = 1.0 if gaps[row] <= FLOAT_RESIDUAL_TOL else 0.0
             return gaps
 
-        monkeypatch.setattr(bridge, "_grid_verdicts", flipped)
+        monkeypatch.setattr(equations, "_grid_verdicts", flipped)
         monkeypatch.setattr(EquationSystem, "residuals", inverted)
 
     def test_early_failure_of_one_eq_logic_leaves_the_others_alone(self, monkeypatch):
@@ -780,7 +827,7 @@ class TestSharedInputs:
         # there is one), EQ_L on a float sample; the attack cycles keep many
         # rows alive past that solution, so with 4-row chunks the one sweep
         # of the grid goes on after EQ_G's failing row, for EQ_P and EQ_L only
-        monkeypatch.setattr(labellings, "_FRONTIER_ROWS", 4)
+        monkeypatch.setattr(equations, "_FRONTIER_ROWS", 4)
         for i, text in enumerate([
                 "arg(a). arg(b). att(r1,a,b). att(r2,b,a).",
                 "arg(a). arg(b). att(r1,a,b). att(r2,b,a). supp(t1,a,b).",
@@ -795,13 +842,14 @@ class TestSharedInputs:
             with monkeypatch.context() as patch:
                 self._invert(patch, {GODEL: [(row, True) for row in rows]}, {LUKASIEWICZ: 4})
                 expected = _single_id_calls(ids, text, options)
-                flipped = bridge._grid_verdicts
+                flipped = equations._grid_verdicts
 
-                def spy(formulas, elements, logic, view, positions, codes, dtype):
+                def spy(formulas, elements, logic, ops, view, positions, codes, dtype):
                     calls.append((logic, codes))
-                    return flipped(formulas, elements, logic, view, positions, codes, dtype)
+                    return flipped(formulas, elements, logic, ops, view, positions, codes,
+                                   dtype)
 
-                patch.setattr(bridge, "_grid_verdicts", spy)
+                patch.setattr(equations, "_grid_verdicts", spy)
                 code, out, err = _one_call(ids, text, options)
             assert (code, out, err) == expected, text
             reports = json.loads(out)["reports"]
@@ -988,6 +1036,29 @@ class TestReports:
         first = hafs.enumerate_adjacent_complete(hafs.parse(self.MUTUAL))[0]
         assert side in report["counterexample"]["explanation"]
         assert report["counterexample"][key] == first.to_json_obj()
+
+
+class TestPl3KernelFaults:
+    # T_PL3 compares the labelling search with the models of the encoding,
+    # which are read through the L3 quarter kernels: a fault planted in any
+    # of them shows as a failed T_PL3 on most of a fixed corpus
+    FAULTS = {
+        "negation_is_max_3_minus_x": lambda patch: patch.setattr(
+            equations, "_neg_4", lambda x: np.maximum(3 - x, 0)),
+        "min_tnorm_is_max": lambda patch: patch.setitem(
+            equations._TNORMS_4, hafs.logic._tnorm_min, np.maximum),
+        "lukasiewicz_implication_capped_at_3": lambda patch: patch.setitem(
+            equations._IMPLICATIONS_4, hafs.logic._impl_lukasiewicz,
+            lambda m, n: np.minimum(4 - m + n, 3)),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_t_pl3_fails(self, monkeypatch, fault):
+        frameworks = [h for h, _ in corpus(40, max_u=6, seed_base=18_000)]
+        assert all(verify(h, "T_PL3").passed for h in frameworks)
+        self.FAULTS[fault](monkeypatch)
+        failed = sum(not verify(h, "T_PL3").passed for h in frameworks)
+        assert failed >= len(frameworks) // 2, failed
 
 
 class TestLabellingSearchFaults:
