@@ -775,10 +775,11 @@ def _frontier(width: int, base: int, sides: int, levels, check, budget=None):
                      for s in reversed(range(0, len(codes), _FRONTIER_ROWS)))
 
 
-def _three_valued(make, order, levels, check) -> tuple:
-    """``make`` of each row of the {0, 1/2, 1} grid over ``order`` that
-    :func:`_frontier` keeps, read as (element, value) pairs, in grid order."""
-    return tuple(make(zip(order, [THREE_VALUES[k] for k in row]))
+def _three_valued(kind, order, levels, check) -> tuple:
+    """Each row of the {0, 1/2, 1} grid over ``order`` that :func:`_frontier`
+    keeps, as an assignment of type ``kind`` (``Assignment`` or a subclass),
+    in grid order."""
+    return tuple(kind._trusted(order, [THREE_VALUES[k] for k in row])
                  for codes, _ in _frontier(len(order), 3, 1, levels, check)
                  for row in codes.tolist())
 

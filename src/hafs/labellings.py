@@ -178,7 +178,7 @@ def enumerate_adjacent_complete(h: HAFS, bound: int | None = None) -> tuple[Labe
     sorted by id with value order 0 < 1/2 < 1, the order of the full grid.
     """
     check_universe(len(h.universe), bound, DEFAULT_LABELLING_BOUND)
-    return tuple(Labelling3(zip(h.universe, [THREE_VALUES[k] for k in codes]))
+    return tuple(Labelling3._trusted(h.universe, [THREE_VALUES[k] for k in codes])
                  for codes in _complete_codes(h.incidence))
 
 

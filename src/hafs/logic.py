@@ -230,6 +230,18 @@ class Assignment(Mapping):
         self._values = {key: store[key] for key in sorted(store, key=_ID_KEY)}
         self._hash = None  # computed when first asked for
 
+    @classmethod
+    def _trusted(cls, keys: Iterable[ElementId], values: Iterable):
+        """The assignment of ``values`` to ``keys``, taken as they are: the
+        keys in id order, and each value one that ``_coerce`` returns
+        unchanged (for a ``Labelling3``, the interned ``ZERO``, ``HALF`` or
+        ``ONE``).  For the searches and sweeps that hand over the universe
+        in order; input from a user goes through the constructor."""
+        made = object.__new__(cls)
+        made._values = dict(zip(keys, values))
+        made._hash = None
+        return made
+
     @staticmethod
     def _coerce(key: ElementId, raw) -> object:
         if isinstance(raw, float):

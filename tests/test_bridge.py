@@ -16,7 +16,7 @@ from hafs import (Assignment, GODEL, LUKASIEWICZ, PRODUCT, PreconditionError,
                   THEOREM_IDS, ValidationError, argument, build_equations, embed,
                   encode_normal, enumerate_pl3_models, evaluate, framework_digest,
                   is_model, support_id, ternarize, verify)
-from hafs import bridge, equations, labellings
+from hafs import bridge, equations, extensions, labellings
 from hafs.bridge import FLOAT_RESIDUAL_TOL, VerificationReport
 from hafs.cli import run
 from hafs.equations import (_IMPLICATIONS_4, _TNORMS_4, EquationSystem, _TooWide, _exact_ops,
@@ -1105,3 +1105,37 @@ class TestLabellingSearchFaults:
             for h, codes in zip(frameworks, added[::3]):
                 labelling = hafs.Labelling3(zip(h.universe, [THREE_VALUES[k] for k in codes]))
                 assert not hafs.is_adjacent_complete(h, labelling), hafs.serialize(h)
+
+
+class TestExtensionSearchFaults:
+    # T1 and T2 read the complete extensions through the mask kernel of
+    # hafs.extensions, which shares no code with the labelling search: a fault
+    # planted in the kernel or its search shows as a failed cross-check
+    ACYCLIC = TestLabellingSearchFaults.CORPUS
+
+    def test_dropped_extension_fails_t2(self, monkeypatch):
+        search = extensions._complete_masks
+        frameworks = [hafs.parse(text) for text in self.ACYCLIC]
+        assert all(verify(h, "T2").passed for h in frameworks)
+        # the last complete extension in size-then-lexicographic order
+        monkeypatch.setattr(extensions, "_complete_masks", lambda masks: search(masks)[:-1])
+        for h in frameworks:
+            report = verify(h, "T2")
+            assert not report.passed, hafs.serialize(h)
+            assert "adjacent only" in report.counterexample["explanation"], report.counterexample
+
+    def test_skipped_support_closure_fails_t1_or_t2(self, monkeypatch):
+        class WithoutClosure(extensions._Masks):
+            def __init__(self, view):
+                super().__init__(view)
+                self.sources = 0  # no defeated supporter passes its defeat on
+
+        frameworks = [h for h, _ in corpus(40, max_u=6, seed_base=19_000)]
+        frameworks.append(hafs.parse(self.ACYCLIC[4]))  # b defeats a through c's support
+        theorems = [(h, t) for h in frameworks for t in ("T1", "T2")
+                    if t == "T1" or hafs.is_support_acyclic(h)]
+        assert all(verify(h, t).passed for h, t in theorems)
+        monkeypatch.setattr(extensions, "_Masks", WithoutClosure)
+        failed = {hafs.serialize(h) for h, t in theorems if not verify(h, t).passed}
+        assert hafs.serialize(frameworks[-1]) in failed
+        assert len(failed) >= 2, failed

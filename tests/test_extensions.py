@@ -305,6 +305,26 @@ class TestSearchAtScale:
         assert enumerate_extensions(h, "stable") == maximal
         assert enumerate_extensions(h, "grounded") == (attacks,)
 
+    def test_eight_self_supported_arguments(self):
+        # a_i supports itself through t_i: nothing is attacked, each t_i is free
+        # and a_i is defended exactly when it is in, so any set of arguments
+        # joins the eight supports
+        h = hafs.parse(" ".join(f"arg(a{i}). supp(t{i},a{i},a{i})." for i in range(8)))
+        assert len(h) == 16
+        supports = ids(*(f"supp:t{i}" for i in range(8)))
+        # positions: a0..a7 are 0..7, so choosing arguments by size, then by
+        # their positions, is the size-then-lexicographic order
+        complete = tuple(supports | ids(*(f"arg:a{i}" for i in chosen))
+                         for size in range(9) for chosen in itertools.combinations(range(8), size))
+        universe = frozenset(h.universe)
+
+        family = enumerate_extensions(h, "complete")
+        assert family == complete
+        assert len(family) == 256 and family[0] == supports and family[-1] == universe
+        assert enumerate_extensions(h, "grounded") == (supports,)
+        assert enumerate_extensions(h, "preferred") == (universe,)
+        assert enumerate_extensions(h, "stable") == (universe,)
+
     def test_long_support_chain(self):
         # b attacks the head of a0 -> a1 -> ... -> a3000, all supports unattacked
         links = 3000

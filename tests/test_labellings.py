@@ -102,6 +102,20 @@ class TestEnumerate:
         with pytest.raises(SizeBoundError):
             enumerate_adjacent_complete(example3, bound=1)
 
+    def test_unchecked_assignments_equal_the_validated_ones(self):
+        # the searches and sweeps build their results without the constructor's
+        # checks; each must equal, hash and iterate like its validated copy
+        for h, _ in corpus(30, max_u=6, seed_base=7000):
+            built = [*enumerate_adjacent_complete(h), *hafs.enumerate_pl3_models(h),
+                     *hafs.enumerate_ternary_solutions(hafs.build_equations(h, hafs.GODEL)),
+                     *(hafs.extension_derived_labelling(h, E)
+                       for E in hafs.enumerate_extensions(h, "complete"))]
+            for made in built:
+                checked = type(made)(dict(made))
+                assert made == checked and hash(made) == hash(checked)
+                assert list(made.items()) == list(checked.items()) == \
+                    [(x, made[x]) for x in h.universe]
+
     def test_env_override(self, example3, monkeypatch):
         monkeypatch.setenv("HAFS_MAX_U", "1")
         with pytest.raises(SizeBoundError):
